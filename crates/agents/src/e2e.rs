@@ -2,6 +2,7 @@
 //! observations directly to actuation variations (Section III-C).
 
 use crate::Agent;
+use drive_nn::batch::BatchPolicy;
 use drive_nn::gaussian::GaussianPolicy;
 use drive_nn::pnn::PnnPolicy;
 use drive_nn::scratch::ActScratch;
@@ -13,33 +14,44 @@ use rand::SeedableRng;
 
 /// Anything that maps an observation vector to a bounded action vector.
 ///
-/// Implemented for [`GaussianPolicy`] and [`PnnPolicy`]; the defense
-/// switcher in `attack-core` adds its own implementation.
+/// Implemented for the frozen, pre-packed [`BatchPolicy`] (evaluation),
+/// the plain [`GaussianPolicy`] (weights still training) and
+/// [`PnnPolicy`]; the defense switcher in `attack-core` adds its own
+/// implementation.
 pub trait Policy {
     /// Observation dimensionality this policy expects.
     fn obs_dim(&self) -> usize;
     /// Action dimensionality this policy produces.
     fn action_dim(&self) -> usize;
-    /// Computes an action in `[-1, 1]^action_dim`.
-    fn action(&self, obs: &[f32], rng: &mut StdRng, deterministic: bool) -> Vec<f32>;
-
-    /// Computes an action into a caller-provided buffer, optionally using
-    /// a reusable [`ActScratch`] to avoid per-step allocations.
-    ///
-    /// The default implementation falls back to the allocating
-    /// [`Policy::action`]; implementations with an allocation-free path
-    /// (e.g. [`GaussianPolicy`]) override it. Overrides must produce
-    /// bit-identical actions and identical RNG consumption to `action`.
-    fn action_into(
+    /// Computes an action in `[-1, 1]^action_dim` through the reusable
+    /// `scratch` and returns it (the slice lives in the scratch).
+    /// Allocation-free once the scratch has warmed up. Stochastic actions
+    /// draw their noise exactly as `GaussianPolicy::act_with` does, so
+    /// implementations are interchangeable on a seeded stream.
+    fn action_with<'s>(
         &self,
         obs: &[f32],
         rng: &mut StdRng,
         deterministic: bool,
-        scratch: &mut ActScratch,
-        out: &mut Vec<f32>,
-    ) {
-        let _ = scratch;
-        *out = self.action(obs, rng, deterministic);
+        scratch: &'s mut ActScratch,
+    ) -> &'s [f32];
+}
+
+impl Policy for BatchPolicy {
+    fn obs_dim(&self) -> usize {
+        BatchPolicy::obs_dim(self)
+    }
+    fn action_dim(&self) -> usize {
+        BatchPolicy::action_dim(self)
+    }
+    fn action_with<'s>(
+        &self,
+        obs: &[f32],
+        rng: &mut StdRng,
+        deterministic: bool,
+        scratch: &'s mut ActScratch,
+    ) -> &'s [f32] {
+        self.act_with(obs, rng, deterministic, scratch)
     }
 }
 
@@ -50,19 +62,14 @@ impl Policy for GaussianPolicy {
     fn action_dim(&self) -> usize {
         GaussianPolicy::action_dim(self)
     }
-    fn action(&self, obs: &[f32], rng: &mut StdRng, deterministic: bool) -> Vec<f32> {
-        self.act(obs, rng, deterministic)
-    }
-    fn action_into(
+    fn action_with<'s>(
         &self,
         obs: &[f32],
         rng: &mut StdRng,
         deterministic: bool,
-        scratch: &mut ActScratch,
-        out: &mut Vec<f32>,
-    ) {
-        out.clear();
-        out.extend_from_slice(self.act_with(obs, rng, deterministic, scratch));
+        scratch: &'s mut ActScratch,
+    ) -> &'s [f32] {
+        self.act_with(obs, rng, deterministic, scratch)
     }
 }
 
@@ -73,12 +80,21 @@ impl Policy for PnnPolicy {
     fn action_dim(&self) -> usize {
         PnnPolicy::action_dim(self)
     }
-    fn action(&self, obs: &[f32], rng: &mut StdRng, deterministic: bool) -> Vec<f32> {
-        self.act(obs, rng, deterministic)
+    fn action_with<'s>(
+        &self,
+        obs: &[f32],
+        rng: &mut StdRng,
+        deterministic: bool,
+        scratch: &'s mut ActScratch,
+    ) -> &'s [f32] {
+        self.act_with(obs, rng, deterministic, scratch)
     }
 }
 
 /// An end-to-end agent: semantic feature extractor + learned policy.
+///
+/// Evaluation wraps a frozen [`BatchPolicy`]; `E2eAgent<GaussianPolicy>`
+/// acts on unpacked weights and suits a policy that is still changing.
 #[derive(Debug, Clone)]
 pub struct E2eAgent<P: Policy> {
     policy: P,
@@ -86,7 +102,7 @@ pub struct E2eAgent<P: Policy> {
     rng: StdRng,
     deterministic: bool,
     scratch: ActScratch,
-    action_buf: Vec<f32>,
+    obs: Vec<f32>,
 }
 
 impl<P: Policy> E2eAgent<P> {
@@ -114,7 +130,7 @@ impl<P: Policy> E2eAgent<P> {
             rng: StdRng::seed_from_u64(seed),
             deterministic,
             scratch: ActScratch::default(),
-            action_buf: Vec::new(),
+            obs: Vec::new(),
         }
     }
 
@@ -135,15 +151,14 @@ impl<P: Policy> Agent for E2eAgent<P> {
     }
 
     fn act(&mut self, world: &World) -> Actuation {
-        let obs = self.extractor.observe(world);
-        self.policy.action_into(
-            &obs,
+        self.extractor.observe_into(world, &mut self.obs);
+        let a = self.policy.action_with(
+            &self.obs,
             &mut self.rng,
             self.deterministic,
             &mut self.scratch,
-            &mut self.action_buf,
         );
-        Actuation::new(self.action_buf[0] as f64, self.action_buf[1] as f64)
+        Actuation::new(a[0] as f64, a[1] as f64)
     }
 }
 
@@ -151,6 +166,7 @@ impl<P: Policy> Agent for E2eAgent<P> {
 mod tests {
     use super::*;
     use drive_sim::scenario::Scenario;
+    use rand::Rng;
 
     fn policy() -> GaussianPolicy {
         let mut rng = StdRng::seed_from_u64(0);
@@ -185,6 +201,41 @@ mod tests {
             actions
         };
         assert_eq!(run(), run());
+    }
+
+    /// The packed agent must drive exactly like the unpacked one: the
+    /// same actuation every step and the same RNG consumption, for
+    /// deterministic (`tanh(mean)`) and sampled actions alike.
+    #[test]
+    fn packed_agent_matches_unpacked_agent_and_rng_stream() {
+        let p = policy();
+        for deterministic in [true, false] {
+            let mut plain = E2eAgent::new(p.clone(), FeatureConfig::default(), 9, deterministic);
+            let mut packed = E2eAgent::new(
+                BatchPolicy::from(p.clone()),
+                FeatureConfig::default(),
+                9,
+                deterministic,
+            );
+            let mut world = World::new(Scenario::default());
+            plain.reset(&world);
+            packed.reset(&world);
+            for step in 0..40 {
+                let a = plain.act(&world);
+                let b = packed.act(&world);
+                assert_eq!(
+                    (a.steer.to_bits(), a.thrust.to_bits()),
+                    (b.steer.to_bits(), b.thrust.to_bits()),
+                    "step {step} det={deterministic}"
+                );
+                world.step(a);
+            }
+            assert_eq!(
+                plain.rng.gen::<u64>(),
+                packed.rng.gen::<u64>(),
+                "det={deterministic}"
+            );
+        }
     }
 
     #[test]

@@ -1,18 +1,34 @@
-//! Regression test: the steady-state fleet control loop —
-//! `WorldBatch::step` plus `BehaviorPlanner::plan_into` for every slot —
-//! performs zero heap allocations once its scratch buffers have warmed up.
+//! Regression tests: the steady-state evaluation hot paths perform zero
+//! heap allocations once their scratch buffers have warmed up.
 //!
-//! This is the hard form of the control-phase batching contract: the
-//! per-world `StepScratch` (lead tables + NPC actuations), the batch's SoA
-//! lanes and command buffers, and the planner's reused `Path` must all
-//! reach a fixed point. A counting `#[global_allocator]` wrapping the
-//! system allocator makes that an invariant instead of a benchmark hope;
-//! the counters are thread-local, so other test threads can't pollute the
-//! measurement.
+//! - The fleet control loop — `WorldBatch::step` plus
+//!   `BehaviorPlanner::plan_into` for every slot: the per-world
+//!   `StepScratch` (lead tables + NPC actuations), the batch's SoA lanes
+//!   and command buffers, and the planner's reused `Path` must all reach a
+//!   fixed point.
+//! - The serial per-step calls: `E2eAgent::act` over a pre-packed policy,
+//!   `LearnedAttacker::delta` with camera and IMU sensors, and the Simplex
+//!   switcher's and the detector agent's PNN columns (hardened and base).
+//!
+//! A counting `#[global_allocator]` wrapping the system allocator makes
+//! that an invariant instead of a benchmark hope; the counters are
+//! thread-local, so other test threads can't pollute the measurement.
 
+use attack_core::budget::AttackBudget;
+use attack_core::defense::SimplexSwitcher;
+use attack_core::detector::{DetectorConfig, DetectorSimplexAgent};
+use attack_core::learned::LearnedAttacker;
+use attack_core::sensor::AttackerSensor;
 use drive_agents::behavior::{BehaviorConfig, BehaviorPlanner};
+use drive_agents::e2e::E2eAgent;
+use drive_agents::runner::SteerAttacker;
+use drive_agents::Agent;
+use drive_nn::batch::BatchPolicy;
+use drive_nn::gaussian::GaussianPolicy;
+use drive_nn::pnn::{PnnInit, PnnPolicy};
 use drive_sim::batch::{Precision, WorldBatch};
 use drive_sim::scenario::Scenario;
+use drive_sim::sensors::{FeatureConfig, ImuConfig};
 use drive_sim::vehicle::Actuation;
 use drive_sim::waypoints::Path;
 use drive_sim::world::World;
@@ -126,4 +142,90 @@ fn steady_state_batch_step_and_plan_are_allocation_free_golden() {
 #[test]
 fn steady_state_batch_step_and_plan_are_allocation_free_fast() {
     run_case(Precision::Fast);
+}
+
+/// Steps one world under `act`, warming up for 30 steps, then returns the
+/// allocations made inside `act` (and only there — the world's own step
+/// is outside the contract) over the next 20.
+fn allocs_in_act(mut act: impl FnMut(&World) -> Actuation) -> u64 {
+    let mut s = Scenario::default().jittered(&mut StdRng::seed_from_u64(0xA11C));
+    s.max_steps = 400;
+    let mut world = World::new(s);
+    for _ in 0..30 {
+        let a = act(&world);
+        world.step(a);
+    }
+    let mut grew = 0;
+    for _ in 0..20 {
+        let before = allocs();
+        let a = act(&world);
+        grew += allocs() - before;
+        world.step(a);
+    }
+    grew
+}
+
+/// A policy of the victim's shape (60-128-128-4).
+fn policy(obs_dim: usize, action_dim: usize) -> GaussianPolicy {
+    GaussianPolicy::new(
+        obs_dim,
+        &[128, 128],
+        action_dim,
+        &mut StdRng::seed_from_u64(3),
+    )
+}
+
+#[test]
+fn steady_state_e2e_act_is_allocation_free() {
+    let features = FeatureConfig::default();
+    for deterministic in [true, false] {
+        let head = BatchPolicy::from(policy(features.observation_dim(), 2));
+        let mut agent = E2eAgent::new(head, features.clone(), 1, deterministic);
+        let grew = allocs_in_act(|w| agent.act(w));
+        assert_eq!(
+            grew, 0,
+            "E2eAgent::act (det={deterministic}) allocated {grew} times"
+        );
+    }
+}
+
+#[test]
+fn steady_state_learned_attacker_delta_is_allocation_free() {
+    let features = FeatureConfig::default();
+    let imu = ImuConfig::default();
+    let camera = BatchPolicy::from(policy(features.observation_dim(), 1));
+    let imu_head = BatchPolicy::from(policy(imu.observation_dim(), 1));
+    for (head, sensor) in [
+        (camera, AttackerSensor::camera(features.clone())),
+        (imu_head, AttackerSensor::imu(imu.clone(), 5)),
+    ] {
+        let kind = sensor.kind();
+        let mut attacker = LearnedAttacker::new(head, sensor, AttackBudget::new(0.5), 2, true);
+        let grew = allocs_in_act(|w| Actuation::new(attacker.delta(w), 0.3));
+        assert_eq!(
+            grew, 0,
+            "{kind} LearnedAttacker::delta allocated {grew} times"
+        );
+    }
+}
+
+#[test]
+fn steady_state_simplex_columns_are_allocation_free() {
+    let features = FeatureConfig::default();
+    let base = policy(features.observation_dim(), 2);
+    let pnn = PnnPolicy::new(base, PnnInit::Random, &mut StdRng::seed_from_u64(4));
+    for epsilon in [0.8, 0.1] {
+        let switcher = SimplexSwitcher::new(pnn.clone(), 0.4, epsilon);
+        let hardened = switcher.uses_hardened_column();
+        let mut agent = E2eAgent::new(switcher, features.clone(), 1, true);
+        let grew = allocs_in_act(|w| agent.act(w));
+        assert_eq!(
+            grew, 0,
+            "Simplex (hardened={hardened}) act allocated {grew} times"
+        );
+    }
+    let mut detector =
+        DetectorSimplexAgent::new(pnn, 0.2, features.clone(), DetectorConfig::default(), 1);
+    let grew = allocs_in_act(|w| detector.act(w));
+    assert_eq!(grew, 0, "DetectorSimplexAgent::act allocated {grew} times");
 }

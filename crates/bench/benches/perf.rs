@@ -164,6 +164,14 @@ fn bench_policy_inference(c: &mut Criterion) {
         let mut scratch = ActScratch::default();
         b.iter(|| black_box(policy.act_with(&obs, &mut rng, true, &mut scratch)[0]));
     });
+    // The serial evaluation path: batch 1 through the frozen policy's
+    // pre-packed weights (the register-blocked GEMV).
+    c.bench_function("policy_inference_60d_packed", |b| {
+        let head = BatchPolicy::from(policy.clone());
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut scratch = ActScratch::default();
+        b.iter(|| black_box(head.act_with(&obs, &mut rng, true, &mut scratch)[0]));
+    });
 }
 
 fn filled_buffer(dim: usize) -> ReplayBuffer {

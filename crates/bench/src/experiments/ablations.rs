@@ -39,6 +39,7 @@ use drive_agents::e2e::E2eAgent;
 use drive_metrics::episode::CellSummary;
 use drive_metrics::export::Csv;
 use drive_metrics::report::{fmt_f, fmt_pct, Table};
+use drive_nn::batch::BatchPolicy;
 use drive_sim::faults::{FaultInjector, FaultSchedule};
 use std::sync::Arc;
 
@@ -103,11 +104,16 @@ fn compute(ctx: &RunContext) -> AblationResult {
     let adv = AdvReward::default();
     let budget = AttackBudget::new(1.0);
     let episodes = ctx.scale.box_episodes;
+    // Frozen, pre-packed heads shared by every arm: each agent and
+    // per-episode attacker takes an O(1) clone.
+    let victim = BatchPolicy::from(artifacts.victim.clone());
+    let camera_attacker = BatchPolicy::from(artifacts.camera_attacker.clone());
+    let imu_attacker = BatchPolicy::from(artifacts.imu_attacker.clone());
 
     // --- 1. Oracle vs learned camera attacker ---
     let mut attacker_arms = Vec::new();
     {
-        let mut agent = E2eAgent::new(artifacts.victim.clone(), config.features.clone(), 1, true);
+        let mut agent = E2eAgent::new(victim.clone(), config.features.clone(), 1, true);
         let records = run_attacked_episodes(
             &mut agent,
             |_| Some(OracleAttacker::new(budget)),
@@ -154,7 +160,7 @@ fn compute(ctx: &RunContext) -> AblationResult {
             &mut agent,
             |seed| {
                 Some(LearnedAttacker::new(
-                    artifacts.camera_attacker.clone(),
+                    camera_attacker.clone(),
                     AttackerSensor::camera(config.features.clone()),
                     sweep_budget,
                     seed,
@@ -179,12 +185,12 @@ fn compute(ctx: &RunContext) -> AblationResult {
         let mut imu_cfg = config.imu.clone();
         imu_cfg.accel_noise_std *= mult;
         imu_cfg.gyro_noise_std *= mult;
-        let mut agent = E2eAgent::new(artifacts.victim.clone(), config.features.clone(), 3, true);
+        let mut agent = E2eAgent::new(victim.clone(), config.features.clone(), 3, true);
         let records = run_attacked_episodes(
             &mut agent,
             |seed| {
                 Some(LearnedAttacker::new(
-                    artifacts.imu_attacker.clone(),
+                    imu_attacker.clone(),
                     AttackerSensor::imu(imu_cfg.clone(), seed),
                     budget,
                     seed,
@@ -212,7 +218,7 @@ fn compute(ctx: &RunContext) -> AblationResult {
         let attack = |seed: u64| {
             (!b.is_zero()).then(|| {
                 LearnedAttacker::new(
-                    artifacts.camera_attacker.clone(),
+                    camera_attacker.clone(),
                     AttackerSensor::camera(config.features.clone()),
                     b,
                     seed,
@@ -274,12 +280,12 @@ fn compute(ctx: &RunContext) -> AblationResult {
         ("two-lane", drive_sim::scenario::Scenario::two_lane()),
     ];
     let transfer_arms = drive_par::par_map(&scenarios, |_, (label, scenario)| {
-        let mut agent = E2eAgent::new(artifacts.victim.clone(), config.features.clone(), 5, true);
+        let mut agent = E2eAgent::new(victim.clone(), config.features.clone(), 5, true);
         let records = run_attacked_episodes(
             &mut agent,
             |seed| {
                 Some(LearnedAttacker::new(
-                    artifacts.camera_attacker.clone(),
+                    camera_attacker.clone(),
                     AttackerSensor::camera(config.features.clone()),
                     budget,
                     seed,
@@ -376,8 +382,8 @@ fn compute(ctx: &RunContext) -> AblationResult {
                         SensorKind::Imu => AttackerSensor::imu(config.imu.clone(), seed),
                     };
                     let policy = match sk {
-                        SensorKind::Camera => artifacts.camera_attacker.clone(),
-                        SensorKind::Imu => artifacts.imu_attacker.clone(),
+                        SensorKind::Camera => camera_attacker.clone(),
+                        SensorKind::Imu => imu_attacker.clone(),
                     };
                     LearnedAttacker::new(policy, sensor, budget, seed, true)
                 });

@@ -12,6 +12,7 @@ use attack_core::sensor::{AttackerSensor, SensorKind};
 use drive_agents::e2e::E2eAgent;
 use drive_agents::modular::{ModularAgent, ModularConfig};
 use drive_agents::Agent;
+use drive_nn::batch::BatchPolicy;
 use drive_nn::gaussian::GaussianPolicy;
 use drive_sim::batch::Precision;
 use drive_sim::faults::{FaultInjector, FaultSchedule};
@@ -62,8 +63,9 @@ impl AgentKind {
 
 /// Builds a fresh agent of the given kind.
 ///
-/// The PNN agents' Simplex switcher is told the active `budget` (the
-/// paper's idealized budget-aware switcher).
+/// End-to-end agents act through their policy frozen and pre-packed
+/// ([`BatchPolicy`]). The PNN agents' Simplex switcher is told the active
+/// `budget` (the paper's idealized budget-aware switcher).
 pub fn build_agent(
     kind: AgentKind,
     artifacts: &Artifacts,
@@ -75,19 +77,19 @@ pub fn build_agent(
     match kind {
         AgentKind::Modular => Box::new(ModularAgent::new(ModularConfig::default(), 1)),
         AgentKind::E2e => Box::new(E2eAgent::new(
-            artifacts.victim.clone(),
+            BatchPolicy::from(artifacts.victim.clone()),
             features,
             seed,
             true,
         )),
         AgentKind::AdvRhoSmall => Box::new(E2eAgent::new(
-            artifacts.adv_rho_small.clone(),
+            BatchPolicy::from(artifacts.adv_rho_small.clone()),
             features,
             seed,
             true,
         )),
         AgentKind::AdvRhoHalf => Box::new(E2eAgent::new(
-            artifacts.adv_rho_half.clone(),
+            BatchPolicy::from(artifacts.adv_rho_half.clone()),
             features,
             seed,
             true,
@@ -368,6 +370,11 @@ fn compute_cell(
         }
     }
     let mut agent = build_agent(kind, artifacts, config, budget, seeds.child("agent").seed());
+    // Packed once per cell; every episode's attacker shares it. A zero
+    // budget is the nominal cell: no attacker at all.
+    let attack = attack
+        .filter(|_| !budget.is_zero())
+        .map(|(policy, sensor_kind)| (BatchPolicy::from(policy.clone()), sensor_kind));
     // Episodes run through the hardened cell executor: one panicking
     // episode is retried with a fresh seed instead of aborting the whole
     // figure run. First attempts use `base + e` off the cell's episode
@@ -377,21 +384,12 @@ fn compute_cell(
         seeds.child("episodes").seed(),
         &ctx.resilience,
         |seed| {
-            let mut attacker = attack.and_then(|(policy, sensor_kind)| {
-                if budget.is_zero() {
-                    return None;
-                }
+            let mut attacker = attack.as_ref().map(|(head, sensor_kind)| {
                 let sensor = match sensor_kind {
                     SensorKind::Camera => AttackerSensor::camera(config.features.clone()),
                     SensorKind::Imu => AttackerSensor::imu(config.imu.clone(), seed),
                 };
-                Some(LearnedAttacker::new(
-                    policy.clone(),
-                    sensor,
-                    budget,
-                    seed,
-                    true,
-                ))
+                LearnedAttacker::new(head.clone(), sensor, budget, seed, true)
             });
             let mut faults = fault_schedule.map(|s| FaultInjector::for_episode(s, seed));
             run_attacked_episode_with_faults(

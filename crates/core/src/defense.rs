@@ -20,6 +20,7 @@ use crate::sensor::AttackerSensor;
 use drive_agents::driving_env::DrivingEnv;
 use drive_agents::e2e::Policy;
 use drive_agents::runner::SteerAttacker;
+use drive_nn::batch::BatchPolicy;
 use drive_nn::gaussian::GaussianPolicy;
 use drive_nn::pnn::{PnnInit, PnnPolicy};
 use drive_nn::scratch::ActScratch;
@@ -107,13 +108,14 @@ fn adversarial_train<A: Actor + Clone + Sync>(
 
     let mut episode_seed = config.seed.wrapping_mul(31337) + 1;
     let mut budget_rng = StdRng::seed_from_u64(SeedTree::root(config.seed).child("budget").seed());
+    let attacker_head = BatchPolicy::from(attacker_policy.clone());
     let arm_episode = |env: &mut DrivingEnv, seed: u64, rng: &mut StdRng| -> Vec<f32> {
         let budget = sample_training_budget(config.rho, rng);
         if budget.is_zero() {
             env.set_attack(None);
         } else {
             let mut attacker = LearnedAttacker::new(
-                attacker_policy.clone(),
+                attacker_head.clone(),
                 AttackerSensor::camera(features.clone()),
                 budget,
                 seed,
@@ -127,7 +129,7 @@ fn adversarial_train<A: Actor + Clone + Sync>(
     };
 
     let mut best = sac.actor.clone();
-    let mut best_score = eval_actor(&best, attacker_policy, scenario, features, config);
+    let mut best_score = eval_actor(&best, &attacker_head, scenario, features, config);
 
     let mut obs = arm_episode(&mut env, episode_seed, &mut budget_rng);
     for step in 0..config.sac_steps {
@@ -150,7 +152,7 @@ fn adversarial_train<A: Actor + Clone + Sync>(
             sac.update(&buffer, &mut rng);
         }
         if config.eval_every > 0 && (step + 1) % config.eval_every == 0 {
-            let score = eval_actor(&sac.actor, attacker_policy, scenario, features, config);
+            let score = eval_actor(&sac.actor, &attacker_head, scenario, features, config);
             if score > best_score {
                 best_score = score;
                 best = sac.actor.clone();
@@ -169,7 +171,7 @@ fn adversarial_train<A: Actor + Clone + Sync>(
 /// cell carries weight `rho`, the attacked cells share `1 - rho`).
 fn eval_actor<A: Actor + Clone + Sync>(
     actor: &A,
-    attacker_policy: &GaussianPolicy,
+    attacker_head: &BatchPolicy,
     scenario: &Scenario,
     features: &FeatureConfig,
     config: &DefenseTrainConfig,
@@ -191,7 +193,7 @@ fn eval_actor<A: Actor + Clone + Sync>(
                 env.set_attack(None);
             } else {
                 let mut attacker = LearnedAttacker::new(
-                    attacker_policy.clone(),
+                    attacker_head.clone(),
                     AttackerSensor::camera(features.clone()),
                     budget,
                     seed,
@@ -266,6 +268,8 @@ pub fn train_pnn_defense(
 #[derive(Debug, Clone)]
 pub struct SimplexSwitcher {
     pnn: PnnPolicy,
+    /// The frozen original column, pre-packed for inference.
+    base: BatchPolicy,
     /// Switching threshold `sigma`.
     pub sigma: f64,
     /// The attack budget the switcher believes is active (idealized
@@ -279,6 +283,7 @@ impl SimplexSwitcher {
     /// `epsilon` is active.
     pub fn new(pnn: PnnPolicy, sigma: f64, epsilon: f64) -> Self {
         SimplexSwitcher {
+            base: BatchPolicy::from(pnn.base().clone()),
             pnn,
             sigma,
             epsilon,
@@ -294,6 +299,25 @@ impl SimplexSwitcher {
     pub fn pnn(&self) -> &PnnPolicy {
         &self.pnn
     }
+
+    /// Acts through the hardened column (the PNN's column 2) or the
+    /// original one, allocation-free — the one column-selection step
+    /// behind this switcher and the detector-driven
+    /// [`crate::detector::DetectorSimplexAgent`].
+    pub(crate) fn column_action_with<'s>(
+        &self,
+        hardened: bool,
+        obs: &[f32],
+        rng: &mut StdRng,
+        deterministic: bool,
+        scratch: &'s mut ActScratch,
+    ) -> &'s [f32] {
+        if hardened {
+            self.pnn.act_with(obs, rng, deterministic, scratch)
+        } else {
+            self.base.act_with(obs, rng, deterministic, scratch)
+        }
+    }
 }
 
 impl Policy for SimplexSwitcher {
@@ -303,28 +327,20 @@ impl Policy for SimplexSwitcher {
     fn action_dim(&self) -> usize {
         self.pnn.action_dim()
     }
-    fn action(&self, obs: &[f32], rng: &mut StdRng, deterministic: bool) -> Vec<f32> {
-        if self.uses_hardened_column() {
-            self.pnn.act(obs, rng, deterministic)
-        } else {
-            self.pnn.base().act(obs, rng, deterministic)
-        }
-    }
-    fn action_into(
+    fn action_with<'s>(
         &self,
         obs: &[f32],
         rng: &mut StdRng,
         deterministic: bool,
-        scratch: &mut ActScratch,
-        out: &mut Vec<f32>,
-    ) {
-        if self.uses_hardened_column() {
-            // The PNN's lateral-connected forward has no scratch path yet.
-            *out = self.pnn.act(obs, rng, deterministic);
-        } else {
-            out.clear();
-            out.extend_from_slice(self.pnn.base().act_with(obs, rng, deterministic, scratch));
-        }
+        scratch: &'s mut ActScratch,
+    ) -> &'s [f32] {
+        self.column_action_with(
+            self.uses_hardened_column(),
+            obs,
+            rng,
+            deterministic,
+            scratch,
+        )
     }
 }
 
@@ -356,15 +372,21 @@ mod tests {
         let pnn = PnnPolicy::new(base.clone(), PnnInit::Random, &mut rng);
         let obs = vec![0.1f32; dim];
 
+        let mut s = ActScratch::default();
         let low = SimplexSwitcher::new(pnn.clone(), 0.4, 0.2);
         assert!(!low.uses_hardened_column());
-        let a_low = low.action(&obs, &mut StdRng::seed_from_u64(0), true);
+        let a_low = low
+            .action_with(&obs, &mut StdRng::seed_from_u64(0), true, &mut s)
+            .to_vec();
         let a_base = base.act(&obs, &mut StdRng::seed_from_u64(0), true);
         assert_eq!(a_low, a_base, "below threshold the base column acts");
 
         let high = SimplexSwitcher::new(pnn.clone(), 0.4, 0.8);
         assert!(high.uses_hardened_column());
-        let a_high = high.action(&obs, &mut StdRng::seed_from_u64(0), true);
+        let a_high = high
+            .action_with(&obs, &mut StdRng::seed_from_u64(0), true, &mut s)
+            .to_vec();
+        assert_eq!(a_high, pnn.act(&obs, &mut StdRng::seed_from_u64(0), true));
         assert_ne!(a_high, a_base, "above threshold the hardened column acts");
     }
 

@@ -20,8 +20,10 @@
 //! switcher, but fed by detection instead of ground truth.
 
 use crate::budget::AttackBudget;
+use crate::defense::SimplexSwitcher;
 use drive_agents::Agent;
 use drive_nn::pnn::PnnPolicy;
+use drive_nn::scratch::ActScratch;
 use drive_sim::faults::FaultInjector;
 use drive_sim::sensors::{FeatureConfig, FeatureExtractor};
 use drive_sim::vehicle::Actuation;
@@ -65,6 +67,9 @@ impl Default for DetectorConfig {
 pub struct PerturbationDetector {
     config: DetectorConfig,
     residuals: VecDeque<f64>,
+    /// The window's residuals in `f64::total_cmp` order, kept in step
+    /// with `residuals` so the quantile is a lookup, not a per-step sort.
+    sorted: Vec<f64>,
 }
 
 impl PerturbationDetector {
@@ -72,6 +77,7 @@ impl PerturbationDetector {
     pub fn new(config: DetectorConfig) -> Self {
         PerturbationDetector {
             residuals: VecDeque::with_capacity(config.window),
+            sorted: Vec::with_capacity(config.window),
             config,
         }
     }
@@ -79,6 +85,7 @@ impl PerturbationDetector {
     /// Clears the rolling window (call at episode start).
     pub fn reset(&mut self) {
         self.residuals.clear();
+        self.sorted.clear();
     }
 
     /// Feeds one step: the command `nu` the agent issued, the realized
@@ -91,22 +98,29 @@ impl PerturbationDetector {
             delta_hat = 0.0;
         }
         if self.residuals.len() == self.config.window {
-            self.residuals.pop_front();
+            if let Some(old) = self.residuals.pop_front() {
+                // Values equal under `total_cmp` are bitwise equal, so
+                // removing any one of them leaves the same sorted window.
+                let at = self.sorted.partition_point(|v| v.total_cmp(&old).is_lt());
+                self.sorted.remove(at);
+            }
         }
-        self.residuals.push_back(delta_hat.abs());
+        let r = delta_hat.abs();
+        self.residuals.push_back(r);
+        let at = self.sorted.partition_point(|v| v.total_cmp(&r).is_lt());
+        self.sorted.insert(at, r);
         delta_hat
     }
 
     /// The estimated active attack budget: the configured quantile of
     /// recent `|delta_hat|` values (0 before any observation).
     pub fn estimated_budget(&self) -> f64 {
-        if self.residuals.is_empty() {
+        if self.sorted.is_empty() {
             return 0.0;
         }
-        let mut sorted: Vec<f64> = self.residuals.iter().copied().collect();
-        sorted.sort_by(f64::total_cmp);
-        let pos = (self.config.quantile * (sorted.len() - 1) as f64).round() as usize;
-        sorted[pos.min(sorted.len() - 1)]
+        let last = self.sorted.len() - 1;
+        let pos = (self.config.quantile * last as f64).round() as usize;
+        self.sorted[pos.min(last)]
     }
 }
 
@@ -114,7 +128,9 @@ impl PerturbationDetector {
 /// the *detected* perturbation exceeds `sigma`.
 #[derive(Debug, Clone)]
 pub struct DetectorSimplexAgent {
-    pnn: PnnPolicy,
+    /// The PNN's two columns; this agent picks the column itself, so the
+    /// switcher's own budget belief stays unused.
+    columns: SimplexSwitcher,
     /// Switching threshold on the detected budget.
     pub sigma: f64,
     detector: PerturbationDetector,
@@ -127,6 +143,8 @@ pub struct DetectorSimplexAgent {
     latched: bool,
     config: DetectorConfig,
     obs_faults: Option<FaultInjector>,
+    obs: Vec<f32>,
+    scratch: ActScratch,
 }
 
 impl DetectorSimplexAgent {
@@ -139,7 +157,7 @@ impl DetectorSimplexAgent {
         seed: u64,
     ) -> Self {
         DetectorSimplexAgent {
-            pnn,
+            columns: SimplexSwitcher::new(pnn, sigma, 0.0),
             sigma,
             detector: PerturbationDetector::new(detector),
             extractor: FeatureExtractor::new(features),
@@ -151,6 +169,8 @@ impl DetectorSimplexAgent {
             latched: false,
             config: detector,
             obs_faults: None,
+            obs: Vec::new(),
+            scratch: ActScratch::default(),
         }
     }
 
@@ -201,10 +221,10 @@ impl Agent for DetectorSimplexAgent {
         }
         self.last_realized = realized;
 
-        let mut obs = self.extractor.observe(world);
+        self.extractor.observe_into(world, &mut self.obs);
         if let Some(inj) = self.obs_faults.as_mut() {
             inj.begin_step();
-            inj.corrupt_observation(&mut obs);
+            inj.corrupt_observation(&mut self.obs);
         }
         let detected = self.detector.estimated_budget() > self.sigma;
         let hardened = detected || self.latched;
@@ -215,11 +235,13 @@ impl Agent for DetectorSimplexAgent {
         if hardened {
             self.hardened_steps += 1;
         }
-        let a = if hardened {
-            self.pnn.act(&obs, &mut self.rng, true)
-        } else {
-            self.pnn.base().act(&obs, &mut self.rng, true)
-        };
+        let a = self.columns.column_action_with(
+            hardened,
+            &self.obs,
+            &mut self.rng,
+            true,
+            &mut self.scratch,
+        );
         let actuation = Actuation::new(a[0] as f64, a[1] as f64);
         self.last_command = Some(actuation.steer);
         actuation
@@ -267,6 +289,42 @@ mod tests {
             a = a_next;
         }
         assert!((det.estimated_budget() - 0.5).abs() < 1e-9);
+    }
+
+    /// The incrementally sorted window must report exactly the quantile
+    /// a fresh sort of the rolling window gives, ties included.
+    #[test]
+    fn incremental_quantile_matches_sorted_window() {
+        use rand::Rng;
+        let config = DetectorConfig {
+            window: 7,
+            noise_floor: 0.0,
+            ..DetectorConfig::default()
+        };
+        let mut det = PerturbationDetector::new(config);
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut window = VecDeque::new();
+        for step in 0..300 {
+            if step == 150 {
+                det.reset();
+                window.clear();
+            }
+            // A small command set makes repeated residuals common.
+            let nu = [0.1, -0.3, 0.5, 0.3][rng.gen_range(0..4usize)];
+            let d = det.observe(nu, 0.0, 0.0);
+            window.push_back(d.abs());
+            if window.len() > config.window {
+                window.pop_front();
+            }
+            let mut sorted: Vec<f64> = window.iter().copied().collect();
+            sorted.sort_by(f64::total_cmp);
+            let pos = (config.quantile * (sorted.len() - 1) as f64).round() as usize;
+            assert_eq!(
+                det.estimated_budget().to_bits(),
+                sorted[pos].to_bits(),
+                "step {step}"
+            );
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use crate::budget::AttackBudget;
 use crate::sensor::AttackerSensor;
 use drive_agents::runner::SteerAttacker;
-use drive_nn::gaussian::GaussianPolicy;
+use drive_nn::batch::BatchPolicy;
 use drive_nn::scratch::ActScratch;
 use drive_sim::world::World;
 use rand::rngs::StdRng;
@@ -12,27 +12,33 @@ use rand::SeedableRng;
 /// A trained camera- or IMU-based attacker.
 #[derive(Debug, Clone)]
 pub struct LearnedAttacker {
-    policy: GaussianPolicy,
+    policy: BatchPolicy,
     sensor: AttackerSensor,
     budget: AttackBudget,
     rng: StdRng,
     deterministic: bool,
     scratch: ActScratch,
+    obs: Vec<f32>,
 }
 
 impl LearnedAttacker {
     /// Wraps a trained policy with its sensor and budget.
     ///
+    /// `policy` is the frozen, pre-packed handle: pass a clone of one
+    /// shared [`BatchPolicy`] (an O(1) copy) when building an attacker per
+    /// episode. A plain `GaussianPolicy` is accepted too and packed here.
+    ///
     /// # Panics
     ///
     /// Panics if the policy's dims do not match the sensor / 1-D action.
     pub fn new(
-        policy: GaussianPolicy,
+        policy: impl Into<BatchPolicy>,
         sensor: AttackerSensor,
         budget: AttackBudget,
         seed: u64,
         deterministic: bool,
     ) -> Self {
+        let policy = policy.into();
         assert_eq!(
             policy.obs_dim(),
             sensor.obs_dim(),
@@ -46,6 +52,7 @@ impl LearnedAttacker {
             rng: StdRng::seed_from_u64(seed),
             deterministic,
             scratch: ActScratch::default(),
+            obs: Vec::new(),
         }
     }
 
@@ -60,7 +67,7 @@ impl LearnedAttacker {
     }
 
     /// The wrapped policy.
-    pub fn policy(&self) -> &GaussianPolicy {
+    pub fn policy(&self) -> &BatchPolicy {
         &self.policy
     }
 }
@@ -71,11 +78,13 @@ impl SteerAttacker for LearnedAttacker {
     }
 
     fn delta(&mut self, world: &World) -> f64 {
-        let obs = self.sensor.observe(world);
-        let raw = self
-            .policy
-            .act_with(&obs, &mut self.rng, self.deterministic, &mut self.scratch)[0]
-            as f64;
+        self.sensor.observe_into(world, &mut self.obs);
+        let raw = self.policy.act_with(
+            &self.obs,
+            &mut self.rng,
+            self.deterministic,
+            &mut self.scratch,
+        )[0] as f64;
         self.budget.scale(raw)
     }
 }
@@ -83,6 +92,7 @@ impl SteerAttacker for LearnedAttacker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use drive_nn::gaussian::GaussianPolicy;
     use drive_sim::scenario::Scenario;
     use drive_sim::sensors::FeatureConfig;
 

@@ -15,7 +15,9 @@ use crate::learned::LearnedAttacker;
 use crate::oracle::OracleAttacker;
 use crate::sensor::{AttackerSensor, SensorKind};
 use drive_agents::Agent;
+use drive_nn::batch::BatchPolicy;
 use drive_nn::gaussian::GaussianPolicy;
+use drive_nn::scratch::ActScratch;
 use drive_rl::bc::{clone_policy, BcConfig, Demonstrations};
 use drive_rl::env::Env;
 use drive_rl::replay::{ReplayBuffer, Transition};
@@ -117,6 +119,8 @@ pub fn collect_teacher_demos(
     budget: AttackBudget,
 ) -> Demonstrations {
     let mut demos = Demonstrations::new();
+    let teacher = BatchPolicy::from(teacher.clone());
+    let mut scratch = ActScratch::default();
     for e in 0..episodes {
         let mut rng = StdRng::seed_from_u64(base_seed + e as u64);
         let episode = scenario.jittered(&mut rng);
@@ -137,7 +141,7 @@ pub fn collect_teacher_demos(
         while !world.is_done() {
             let cam_obs = cam.observe(&world);
             let imu_obs = imu_sensor.observe(&world);
-            let raw = teacher.act(&cam_obs, &mut trng, true)[0];
+            let raw = teacher.act_with(&cam_obs, &mut trng, true, &mut scratch)[0];
             demos.push(imu_obs, vec![raw]);
             let delta = budget.scale(raw as f64);
             let a = agent.act(&world);
@@ -163,6 +167,7 @@ pub fn evaluate_attack_policy(
 ) -> (f64, f64) {
     let adv = AdvReward::default();
     let mut agent = victim();
+    let head = BatchPolicy::from(policy.clone());
     let records = run_attacked_episodes(
         agent.as_mut(),
         |seed| {
@@ -170,7 +175,7 @@ pub fn evaluate_attack_policy(
                 SensorKind::Camera => AttackerSensor::camera(features.clone()),
                 SensorKind::Imu => AttackerSensor::imu(imu.clone(), seed),
             };
-            Some(LearnedAttacker::new(policy.clone(), s, budget, seed, true))
+            Some(LearnedAttacker::new(head.clone(), s, budget, seed, true))
         },
         &adv,
         scenario,

@@ -1,15 +1,18 @@
-//! Wide batched deterministic inference over a frozen policy.
+//! Inference over a frozen policy through pre-packed weights.
 //!
-//! [`BatchPolicy`] is the one batched-inference entry point shared by the
-//! serving layer (`drive-serve` micro-batching) and the fleet simulation
-//! driver: it pre-packs the trunk's transposed weights once, so each
-//! forward pass is a single bias-fused GEMM per layer with no per-call
-//! transpose. Outputs are bit-identical to
-//! [`GaussianPolicy::act_batch_with`] and therefore to serial
-//! `act_with(.., deterministic = true, ..)` — batching changes throughput,
-//! never numerics.
+//! [`BatchPolicy`] is the one frozen-inference type: the serial
+//! evaluation agents and attackers, the serving layer (`drive-serve`
+//! micro-batching) and the fleet simulation driver all run through it. It
+//! packs the trunk's transposed weights once, so each forward pass is a
+//! single bias-fused product per layer with no per-call transpose — a
+//! register-blocked GEMV for batches under four rows (serial batch-1
+//! acting), the tiled GEMM above. Outputs are bit-identical to the plain
+//! [`GaussianPolicy`] entry points: packing changes throughput, never
+//! numerics.
 //!
-//! Two call styles cover both consumers:
+//! Three call styles cover the consumers:
+//! - [`BatchPolicy::act_with`]: one observation, deterministic or
+//!   sampled — the serial agents' and attackers' per-step call.
 //! - [`BatchPolicy::act_batch`]: gather from observation slices (the
 //!   serving layer's shape — requests arrive as independent vectors).
 //! - [`BatchPolicy::stage`] + [`BatchPolicy::infer_staged`]: write rows
@@ -17,27 +20,29 @@
 //!   feature extractor writes each live episode's observation in place,
 //!   no intermediate copy).
 
-use crate::gaussian::{squash_mean_rows, stage_obs_rows, GaussianPolicy};
+use crate::gaussian::{act_head, squash_mean_rows, stage_obs_rows, GaussianPolicy};
 use crate::mat::Mat;
-use crate::scratch::BatchActScratch;
+use crate::scratch::{ActScratch, BatchActScratch};
+use rand::Rng;
 use std::sync::Arc;
 
-/// A frozen [`GaussianPolicy`] with pre-packed weights for wide batched
-/// deterministic inference.
+/// A frozen [`GaussianPolicy`] with pre-packed weights.
 ///
 /// The packs are a pure layout cache over the shared policy: the `Arc`
 /// guarantees the weights cannot mutate while this wrapper is alive, so
-/// the packs never go stale.
+/// the packs never go stale. Both live behind `Arc`s, so a clone is two
+/// reference-count bumps — hand one to every episode's attacker instead
+/// of deep-copying the weights.
 #[derive(Debug, Clone)]
 pub struct BatchPolicy {
     policy: Arc<GaussianPolicy>,
-    packs: Vec<Mat>,
+    packs: Arc<[Mat]>,
 }
 
 impl BatchPolicy {
     /// Packs the policy's transposed weights once.
     pub fn new(policy: Arc<GaussianPolicy>) -> Self {
-        let packs = policy.trunk().pack_weights();
+        let packs = policy.trunk().pack_weights().into();
         BatchPolicy { policy, packs }
     }
 
@@ -54,6 +59,32 @@ impl BatchPolicy {
     /// Action dimensionality.
     pub fn action_dim(&self) -> usize {
         self.policy.action_dim()
+    }
+
+    /// Single-observation acting through the packs: a drop-in for
+    /// [`GaussianPolicy::act_with`] with bit-identical actions and the
+    /// same RNG consumption for both `deterministic` values (the head
+    /// step is shared). Allocation-free once the scratch has warmed up.
+    pub fn act_with<'s, R: Rng>(
+        &self,
+        obs: &[f32],
+        rng: &mut R,
+        deterministic: bool,
+        s: &'s mut ActScratch,
+    ) -> &'s [f32] {
+        let ActScratch {
+            obs: obs_m,
+            trunk,
+            action,
+            ..
+        } = s;
+        obs_m.copy_from_row(obs);
+        let raw = self
+            .policy
+            .trunk()
+            .forward_prepacked_with(&self.packs, obs_m, trunk);
+        act_head(raw.row(0), self.action_dim(), rng, deterministic, action);
+        action
     }
 
     /// Resizes the scratch's staging matrix to `(batch, obs_dim)` and
@@ -94,6 +125,13 @@ impl BatchPolicy {
     pub fn act_batch<'s>(&self, obs: &[&[f32]], s: &'s mut BatchActScratch) -> &'s Mat {
         stage_obs_rows(obs, self.obs_dim(), &mut s.obs);
         self.infer_staged(s)
+    }
+}
+
+/// Freezes a policy: takes ownership of its weights and packs them once.
+impl From<GaussianPolicy> for BatchPolicy {
+    fn from(policy: GaussianPolicy) -> Self {
+        BatchPolicy::new(Arc::new(policy))
     }
 }
 
@@ -162,6 +200,48 @@ mod tests {
             let gathered = bp.act_batch(&refs, &mut s2);
             assert_eq!(&staged, gathered);
         }
+    }
+
+    /// Packed single-observation acting must be a drop-in for the
+    /// unpacked `act_with`: bit-identical actions and identical RNG
+    /// consumption for both `deterministic` values, across scratch reuse
+    /// and with non-finite observation entries (sanitized on both paths).
+    #[test]
+    fn act_with_matches_unpacked_act_with_and_rng_stream() {
+        let mut rng = StdRng::seed_from_u64(8);
+        // Widths that hit every GEMV strip tier: 60 -> 40 (32 + 4 + 4),
+        // 40 -> 7 (4 + 3 single columns), 7 -> 2 * 3.
+        let p = GaussianPolicy::new(60, &[40, 7], 3, &mut rng);
+        let bp = BatchPolicy::from(p.clone());
+        let mut packed_s = ActScratch::default();
+        let mut plain_s = ActScratch::default();
+        for deterministic in [true, false] {
+            let mut r1 = StdRng::seed_from_u64(33);
+            let mut r2 = StdRng::seed_from_u64(33);
+            for step in 0..6 {
+                let mut obs: Vec<f32> = (0..60).map(|_| randn_f32(&mut rng) * 3.0).collect();
+                if step == 4 {
+                    obs[3] = f32::NAN;
+                    obs[9] = f32::NEG_INFINITY;
+                    obs[10] = -0.0;
+                }
+                let want = p.act_with(&obs, &mut r1, deterministic, &mut plain_s);
+                let got = bp.act_with(&obs, &mut r2, deterministic, &mut packed_s);
+                assert_eq!(got.len(), 3);
+                for (g, w) in got.iter().zip(want) {
+                    assert_eq!(g.to_bits(), w.to_bits(), "step {step} det={deterministic}");
+                }
+            }
+            assert_eq!(r1.gen::<u64>(), r2.gen::<u64>(), "det={deterministic}");
+        }
+    }
+
+    #[test]
+    fn clones_share_the_packs() {
+        let bp = BatchPolicy::new(policy());
+        let copy = bp.clone();
+        assert!(Arc::ptr_eq(&bp.packs, &copy.packs));
+        assert!(Arc::ptr_eq(bp.policy(), copy.policy()));
     }
 
     #[test]

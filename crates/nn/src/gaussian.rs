@@ -387,22 +387,11 @@ impl GaussianPolicy {
             obs: obs_m,
             trunk,
             action,
+            ..
         } = s;
         obs_m.copy_from_row(obs);
         let raw = self.trunk.forward_with(obs_m, trunk);
-        let row = raw.row(0);
-        action.clear();
-        if deterministic {
-            action.extend(row[..self.action_dim].iter().map(|m| m.tanh()));
-        } else {
-            for i in 0..self.action_dim {
-                let mean = row[i];
-                // Same clamp as `sample_head`.
-                let ls = row[self.action_dim + i].clamp(LOG_STD_MIN, LOG_STD_MAX);
-                let n = randn_f32(rng);
-                action.push((mean + ls.exp() * n).tanh());
-            }
-        }
+        act_head(raw.row(0), self.action_dim, rng, deterministic, action);
         action
     }
 
@@ -432,6 +421,33 @@ impl GaussianPolicy {
         let raw = self.trunk.forward_with(obs_m, trunk);
         squash_mean_rows(raw, self.action_dim, actions);
         actions
+    }
+}
+
+/// The head step of single-observation acting, shared by every `act_with`
+/// entry point (plain, pre-packed and progressive policies) so they agree
+/// bit for bit and draw the same RNG stream: from one raw trunk output row
+/// `(mean | log_std)`, writes `tanh(mean)` when `deterministic`, otherwise
+/// `tanh(mean + exp(log_std) * n)` with one `n ~ N(0, 1)` drawn per action
+/// dimension in ascending order and `log_std` clamped as in
+/// [`sample_head`].
+pub(crate) fn act_head<R: Rng>(
+    raw: &[f32],
+    action_dim: usize,
+    rng: &mut R,
+    deterministic: bool,
+    action: &mut Vec<f32>,
+) {
+    action.clear();
+    if deterministic {
+        action.extend(raw[..action_dim].iter().map(|m| m.tanh()));
+    } else {
+        for i in 0..action_dim {
+            let mean = raw[i];
+            let ls = raw[action_dim + i].clamp(LOG_STD_MIN, LOG_STD_MAX);
+            let n = randn_f32(rng);
+            action.push((mean + ls.exp() * n).tanh());
+        }
     }
 }
 

@@ -340,8 +340,9 @@ impl Mat {
     /// inside the tiled interior the bias seeds the output and the tile
     /// fold lands on top (`bias + acc` vs `acc + bias` — IEEE addition
     /// commutes bitwise), while remainder rows/columns and the small-batch
-    /// `nt_dot` path accumulate from zero and add the bias afterwards,
-    /// exactly as the unpacked pipeline does.
+    /// GEMV path ([`gemv_packed`], every batch of fewer than [`TILE`]
+    /// rows — serial batch-1 inference included) accumulate from zero and
+    /// add the bias afterwards, exactly as the unpacked pipeline does.
     ///
     /// # Panics
     ///
@@ -366,12 +367,12 @@ impl Mat {
         );
         assert_eq!(bias.len(), other.rows, "bias length");
         out.resize(self.rows, other.rows);
-        if self.rows < TILE {
-            nt_dot(self, other, out);
+        let (m, n) = (self.rows, other.rows);
+        if m < TILE {
+            gemv_packed(self.cols, n, &self.data, &other_t.data, &mut out.data);
             out.add_row_broadcast(bias);
             return;
         }
-        let (m, n) = (self.rows, other.rows);
         // Tiled interior: seed with the bias so the tile fold adds on top.
         // Remainder rows/columns start at zero (the row-tail kernel folds
         // products straight into the output, so a bias seed there would
@@ -655,22 +656,107 @@ fn gemm_acc_row_tail(k: usize, n: usize, a_row: &[f32], b: &[f32], out_row: &mut
     }
 }
 
-/// Small-batch `self @ other^T`: direct dot products, single accumulator
-/// per element with the same fused ascending-order fold as [`gemm_acc`] —
-/// this is what keeps 1-row serial inference bit-identical to the wide
-/// batched path. Used when there are too few rows for the pack-and-tile
-/// path to pay for the transpose.
+/// Independent output chains per pass of [`nt_dot`].
+const NT_CHAINS: usize = 8;
+
+/// Small-batch `self @ other^T` over the unpacked weights: direct dot
+/// products with the same fused ascending-order fold as [`gemm_acc`],
+/// one chain per output starting at zero and stored — this is what keeps
+/// 1-row inference bit-identical to the wide batched path. Used when
+/// there are too few rows for the pack-and-tile path to pay for the
+/// transpose, i.e. by networks whose weights are still training (a
+/// frozen policy goes through [`gemv_packed`] instead).
+///
+/// A single dot product is latency-bound: each fused multiply-add waits
+/// on the previous one. So [`NT_CHAINS`] outputs advance together, each
+/// on its own accumulator, which lets that many FMAs overlap without
+/// changing any output's fold order.
 fn nt_dot(a: &Mat, other: &Mat, out: &mut Mat) {
+    let (k, n) = (a.cols, other.rows);
+    if k == 0 {
+        out.fill(0.0);
+        return;
+    }
+    let blocked = n - n % NT_CHAINS;
     for i in 0..a.rows {
         let a_row = a.row(i);
-        for j in 0..other.rows {
+        let out_row = &mut out.data[i * n..(i + 1) * n];
+        for (w, o) in other.data[..blocked * k]
+            .chunks_exact(NT_CHAINS * k)
+            .zip(out_row[..blocked].chunks_exact_mut(NT_CHAINS))
+        {
+            let mut acc = [0.0f32; NT_CHAINS];
+            for (p, &x) in a_row.iter().enumerate() {
+                for (t, c) in acc.iter_mut().enumerate() {
+                    *c = x.mul_add(w[t * k + p], *c);
+                }
+            }
+            o.copy_from_slice(&acc);
+        }
+        for (w_row, o) in other.data[blocked * k..]
+            .chunks_exact(k)
+            .zip(&mut out_row[blocked..])
+        {
             let mut acc = 0.0f32;
-            for (x, y) in a_row.iter().zip(other.row(j)) {
+            for (x, y) in a_row.iter().zip(w_row) {
                 acc = x.mul_add(*y, acc);
             }
-            out.data[i * other.rows + j] = acc;
+            *o = acc;
         }
     }
+}
+
+/// Few-row `out = a @ b` for row-major `m x k` / `k x n` / `m x n`
+/// slices, where `b` is a frozen layer's pre-packed `W^T` — the batch-1
+/// inference kernel behind [`Mat::matmul_nt_prepacked_bias_into`].
+///
+/// Each `a` row sweeps the pack once per column strip: [`NTILE`]-wide
+/// strips, then [`NTILE_NARROW`]-wide ones, then single columns. Within a
+/// strip every output owns one register accumulator that starts at zero
+/// and folds its products in ascending-`k` order with one fused
+/// multiply-add each, and the finished chain is *stored* — not added to a
+/// zeroed output, which would turn a `-0.0` chain into `+0.0`. So every
+/// output is bit-identical to [`nt_dot`]'s, while the strip's independent
+/// lanes (two 16-lane vectors for a full strip) keep the FMA pipes busy
+/// where a lone dot product waits on its own latency.
+fn gemv_packed(k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    debug_assert_eq!(b.len(), k * n, "gemv_packed: b is not k x n");
+    if n == 0 {
+        return;
+    }
+    if k == 0 {
+        out.fill(0.0);
+        return;
+    }
+    for (a_row, out_row) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
+        let mut j = 0;
+        while j + NTILE <= n {
+            out_row[j..j + NTILE].copy_from_slice(&gemv_strip::<NTILE>(a_row, b, n, j));
+            j += NTILE;
+        }
+        while j + NTILE_NARROW <= n {
+            out_row[j..j + NTILE_NARROW]
+                .copy_from_slice(&gemv_strip::<NTILE_NARROW>(a_row, b, n, j));
+            j += NTILE_NARROW;
+        }
+        for (jj, o) in out_row.iter_mut().enumerate().skip(j) {
+            *o = gemv_strip::<1>(a_row, b, n, jj)[0];
+        }
+    }
+}
+
+/// One `W`-wide column strip of [`gemv_packed`]: `W` independent fused
+/// ascending-`k` chains over pack columns `j..j + W`, each from zero.
+#[inline(always)]
+fn gemv_strip<const W: usize>(a_row: &[f32], b: &[f32], n: usize, j: usize) -> [f32; W] {
+    let mut c = [0.0f32; W];
+    for (brow, &x) in b.chunks_exact(n).zip(a_row) {
+        let bp: &[f32; W] = brow[j..j + W].try_into().expect("W-wide strip");
+        for t in 0..W {
+            c[t] = x.mul_add(bp[t], c[t]);
+        }
+    }
+    c
 }
 
 /// Narrow-output `acc += self^T @ other`: fused ascending batch-row
@@ -722,6 +808,30 @@ pub(crate) mod reference {
             }
         }
         out
+    }
+
+    /// Fused single-chain `a @ b^T`: one `mul_add` chain per output,
+    /// ascending `k`, starting at zero and stored — the fold order every
+    /// fast kernel must reproduce bit-for-bit.
+    pub fn matmul_nt_fused(a: &Mat, b: &Mat) -> Mat {
+        let mut out = Mat::zeros(a.rows(), b.rows());
+        for i in 0..a.rows() {
+            for j in 0..b.rows() {
+                let mut acc = 0.0f32;
+                for (x, y) in a.row(i).iter().zip(b.row(j)) {
+                    acc = x.mul_add(*y, acc);
+                }
+                out.set(i, j, acc);
+            }
+        }
+        out
+    }
+
+    /// Bitwise equality that treats any two NaNs as equal (kernels may
+    /// commute a product's operands, which can change which NaN payload
+    /// survives) but tells `-0.0` from `+0.0`.
+    pub fn same_bits(x: f32, y: f32) -> bool {
+        x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
     }
 
     /// Textbook `acc + a^T @ b`.
@@ -973,52 +1083,103 @@ mod tests {
 
     /// The pre-packed bias-fused product must be bit-identical to the
     /// unpacked pipeline (`matmul_nt_into` + `add_row_broadcast`) across
-    /// the kernel's regimes: small-batch `nt_dot` (m < TILE), the tiled
-    /// interior, and row/column remainders (m % TILE, n % NTILE, n < NTILE).
+    /// the kernel's regimes: the small-batch GEMV (m < TILE) in every
+    /// column-strip tier (32-wide, 4-wide, single columns), the tiled
+    /// interior, and row/column remainders (m % TILE, n % NTILE,
+    /// n < NTILE) — on plain data and with `-0.0`, NaN and ±inf inputs.
     #[test]
     fn prepacked_bias_matches_unpacked_pipeline_bit_exactly() {
-        for &(m, k, n) in &[
-            (1usize, 13usize, 7usize), // nt_dot path
-            (3, 60, 128),              // nt_dot path, wide
-            (4, 60, 128),              // pure tiled interior
-            (128, 60, 128),            // inference layer shape
-            (128, 128, 4),             // n < NTILE: all row-tail
-            (6, 17, 37),               // row and column remainders
-            (5, 1, 33),                // k = 1, column remainder
-        ] {
-            let a = Mat::from_vec(
-                m,
-                k,
-                (0..m * k)
-                    .map(|i| ((i * 29) % 41) as f32 * 0.173 - 3.0)
-                    .collect(),
-            );
-            let b = Mat::from_vec(
-                n,
-                k,
-                (0..n * k)
-                    .map(|i| ((i * 17) % 31) as f32 * -0.091 + 1.2)
-                    .collect(),
-            );
-            let bias: Vec<f32> = (0..n).map(|i| (i as f32) * 0.37 - 5.0).collect();
-            let mut bt = Mat::default();
-            b.transpose_into(&mut bt);
-
-            let mut want = Mat::default();
-            a.matmul_nt_into(&b, &mut want);
-            want.add_row_broadcast(&bias);
-
-            let mut got = Mat::from_vec(1, 2, vec![9.9, -9.9]); // dirty scratch
-            a.matmul_nt_prepacked_bias_into(&b, &bt, &bias, &mut got);
-            assert_eq!((got.rows(), got.cols()), (m, n));
-            for (i, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
-                assert_eq!(
-                    g.to_bits(),
-                    w.to_bits(),
-                    "({m}x{k}x{n})[{i}]: prepacked {g} vs unpacked {w}"
-                );
+        let mut shapes = vec![
+            (4usize, 60usize, 128usize), // pure tiled interior
+            (128, 60, 128),              // inference layer shape
+            (128, 128, 4),               // n < NTILE: all row-tail
+            (6, 17, 37),                 // row and column remainders
+            (5, 1, 33),                  // k = 1, column remainder
+        ];
+        // GEMV regime: rows 1..=3 against widths that exercise full
+        // strips, narrow strips and single-column tails.
+        for m in 1..=3 {
+            for (k, n) in [
+                (60, 128),
+                (13, 7),
+                (128, 4),
+                (17, 37),
+                (5, 1),
+                (9, 70),
+                (1, 33),
+            ] {
+                shapes.push((m, k, n));
             }
         }
+        let poison = [-0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        for &(m, k, n) in &shapes {
+            for poisoned in [false, true] {
+                let mut a = Mat::from_vec(
+                    m,
+                    k,
+                    (0..m * k)
+                        .map(|i| ((i * 29) % 41) as f32 * 0.173 - 3.0)
+                        .collect(),
+                );
+                let mut b = Mat::from_vec(
+                    n,
+                    k,
+                    (0..n * k)
+                        .map(|i| ((i * 17) % 31) as f32 * -0.091 + 1.2)
+                        .collect(),
+                );
+                if poisoned {
+                    for (i, v) in a.data_mut().iter_mut().enumerate().step_by(7) {
+                        *v = poison[i % poison.len()];
+                    }
+                    for (i, v) in b.data_mut().iter_mut().enumerate().step_by(11) {
+                        *v = poison[(i + 1) % poison.len()];
+                    }
+                }
+                let bias: Vec<f32> = (0..n).map(|i| (i as f32) * 0.37 - 5.0).collect();
+                let what = if poisoned { "poisoned" } else { "plain" };
+                assert_prepacked_matches_unpacked(&a, &b, &bias, what);
+            }
+        }
+        // A chain whose every product underflows to -0.0 must store -0.0
+        // (a zeroed output would absorb it into +0.0), and a -0.0 bias
+        // keeps that sign visible. The tiled interior seeds the bias under
+        // its fold instead, so this check is specific to the GEMV regime.
+        for m in 1..=3 {
+            for n in [1usize, 5, 33, 40] {
+                let a = Mat::from_vec(m, 3, vec![1e-30; m * 3]);
+                let b = Mat::from_vec(n, 3, vec![-1e-30; n * 3]);
+                let bias = vec![-0.0f32; n];
+                let got = assert_prepacked_matches_unpacked(&a, &b, &bias, "underflow");
+                assert!(got
+                    .data()
+                    .iter()
+                    .all(|v| v.to_bits() == (-0.0f32).to_bits()));
+            }
+        }
+    }
+
+    /// Asserts the prepacked product equals the unpacked pipeline bit for
+    /// bit (NaNs compare equal) and returns it.
+    fn assert_prepacked_matches_unpacked(a: &Mat, b: &Mat, bias: &[f32], what: &str) -> Mat {
+        let (m, k, n) = (a.rows(), a.cols(), b.rows());
+        let mut bt = Mat::default();
+        b.transpose_into(&mut bt);
+
+        let mut want = Mat::default();
+        a.matmul_nt_into(b, &mut want);
+        want.add_row_broadcast(bias);
+
+        let mut got = Mat::from_vec(1, 2, vec![9.9, -9.9]); // dirty scratch
+        a.matmul_nt_prepacked_bias_into(b, &bt, bias, &mut got);
+        assert_eq!((got.rows(), got.cols()), (m, n));
+        for (i, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
+            assert!(
+                reference::same_bits(*g, *w),
+                "{what} ({m}x{k}x{n})[{i}]: prepacked {g} vs unpacked {w}"
+            );
+        }
+        got
     }
 
     #[test]
@@ -1051,6 +1212,28 @@ mod tests {
             (1usize..=96, 1usize..=96, 1usize..=96)
         }
 
+        /// Row counts of the small-batch kernels (`m < TILE`). Every
+        /// property runs each case at `dims()` and again with its rows
+        /// replaced by one of these, so the batch-1..3 paths are always
+        /// covered rather than drawn 3 times in 96.
+        fn few_rows() -> impl Strategy<Value = usize> {
+            1usize..=3
+        }
+
+        /// Overwrites a scattered subset of entries with `-0.0`, NaN and
+        /// ±inf (`picks` chooses positions and values).
+        fn poison(m: &mut Mat, picks: &[usize]) {
+            const SPECIAL: [f32; 4] = [-0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+            let len = m.data().len();
+            for &p in picks {
+                m.data_mut()[p % len] = SPECIAL[p % SPECIAL.len()];
+            }
+        }
+
+        fn picks() -> impl Strategy<Value = Vec<usize>> {
+            proptest::collection::vec(0usize..10_000, 0..=4)
+        }
+
         fn values() -> impl Strategy<Value = (Vec<f32>, Vec<f32>)> {
             (
                 proptest::collection::vec(-8.0f32..8.0, 7..=31),
@@ -1074,37 +1257,80 @@ mod tests {
             /// rather than bit-exactly; bit-identity across the fast paths
             /// themselves is asserted separately.
             #[test]
-            fn tiled_matmul_matches_naive((m, k, n) in dims(), (sa, sb) in values()) {
-                let a = mat(m, k, &sa);
-                let b = mat(k, n, &sb);
-                let mut out = Mat::default();
-                a.matmul_into(&b, &mut out);
-                assert_close(&out, &reference::matmul(&a, &b), "matmul");
+            fn tiled_matmul_matches_naive((m, k, n) in dims(), few in few_rows(), (sa, sb) in values()) {
+                for m in [m, few] {
+                    let a = mat(m, k, &sa);
+                    let b = mat(k, n, &sb);
+                    let mut out = Mat::default();
+                    a.matmul_into(&b, &mut out);
+                    assert_close(&out, &reference::matmul(&a, &b), "matmul");
+                }
             }
 
             /// The packed NT product matches the naive transposed product,
-            /// including the small-batch direct path (`m < TILE`).
+            /// including the small-batch direct path (`m < TILE`), and it
+            /// reproduces the fused single-chain fold bit for bit — with
+            /// `-0.0`, NaN and ±inf inputs too.
             #[test]
-            fn packed_matmul_nt_matches_naive((m, k, n) in dims(), (sa, sb) in values()) {
-                let a = mat(m, k, &sa);
-                let b = mat(n, k, &sb);
-                let mut pack = Mat::default();
-                let mut out = Mat::default();
-                a.matmul_nt_into_with(&b, &mut pack, &mut out);
-                assert_close(&out, &reference::matmul_nt(&a, &b), "matmul_nt");
+            fn packed_matmul_nt_matches_naive(
+                (m, k, n) in dims(),
+                few in few_rows(),
+                (sa, sb) in values(),
+                (pa, pb) in (picks(), picks())
+            ) {
+                for m in [m, few] {
+                    let mut a = mat(m, k, &sa);
+                    let mut b = mat(n, k, &sb);
+                    let mut pack = Mat::default();
+                    let mut out = Mat::default();
+                    a.matmul_nt_into_with(&b, &mut pack, &mut out);
+                    assert_close(&out, &reference::matmul_nt(&a, &b), "matmul_nt");
+                    poison(&mut a, &pa);
+                    poison(&mut b, &pb);
+                    a.matmul_nt_into_with(&b, &mut pack, &mut out);
+                    let fused = reference::matmul_nt_fused(&a, &b);
+                    for (i, (&g, &w)) in out.data().iter().zip(fused.data()).enumerate() {
+                        prop_assert!(
+                            reference::same_bits(g, w),
+                            "({}x{}x{})[{}]: kernel {} vs fused chain {}", m, k, n, i, g, w
+                        );
+                    }
+                }
+            }
+
+            /// The pre-packed bias-fused product (GEMV below [`TILE`] rows,
+            /// tiled GEMM above) equals the unpacked pipeline bit for bit,
+            /// with `-0.0`, NaN and ±inf inputs too.
+            #[test]
+            fn prepacked_bias_matches_unpacked_bit_exactly(
+                (m, k, n) in dims(),
+                few in few_rows(),
+                (sa, sb) in values(),
+                (pa, pb) in (picks(), picks())
+            ) {
+                for m in [m, few] {
+                    let mut a = mat(m, k, &sa);
+                    let mut b = mat(n, k, &sb);
+                    poison(&mut a, &pa);
+                    poison(&mut b, &pb);
+                    let bias: Vec<f32> = (0..n).map(|i| sb[i % sb.len()] * 0.5).collect();
+                    super::assert_prepacked_matches_unpacked(&a, &b, &bias, "prop");
+                }
             }
 
             /// The packed TN accumulation matches the naive version on top
             /// of a non-zero accumulator.
             #[test]
-            fn packed_matmul_tn_acc_matches_naive((m, k, n) in dims(), (sa, sb) in values()) {
-                let a = mat(k, m, &sa);
-                let b = mat(k, n, &sb);
-                let base = mat(m, n, &sb);
-                let mut pack = Mat::default();
-                let mut acc = base.clone();
-                a.matmul_tn_acc_with(&b, &mut pack, &mut acc);
-                assert_close(&acc, &reference::matmul_tn_acc(&a, &b, &base), "matmul_tn_acc");
+            fn packed_matmul_tn_acc_matches_naive((m, k, n) in dims(), few in few_rows(), (sa, sb) in values()) {
+                for m in [m, few] {
+                    let a = mat(k, m, &sa);
+                    let b = mat(k, n, &sb);
+                    let base = mat(m, n, &sb);
+                    let mut pack = Mat::default();
+                    let mut acc = base.clone();
+                    a.matmul_tn_acc_with(&b, &mut pack, &mut acc);
+                    assert_close(&acc, &reference::matmul_tn_acc(&a, &b, &base), "matmul_tn_acc");
+                }
             }
         }
     }

@@ -15,10 +15,13 @@
 //! then adapts to adversarial experience — the property that defeats
 //! catastrophic forgetting.
 
-use crate::gaussian::{head_backward, randn_mat, sample_head, GaussianPolicy, HeadSample};
+use crate::gaussian::{
+    act_head, head_backward, randn_mat, sample_head, GaussianPolicy, HeadSample,
+};
 use crate::linear::Linear;
 use crate::mat::Mat;
 use crate::mlp::MlpCache;
+use crate::scratch::{ActScratch, Scratch};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -272,12 +275,94 @@ impl PnnPolicy {
     }
 
     /// Convenience: act on a single observation through column 2.
+    ///
+    /// With `deterministic`, returns `tanh(mean)`; otherwise a sample.
     pub fn act<R: Rng>(&self, obs: &[f32], rng: &mut R, deterministic: bool) -> Vec<f32> {
-        let m = Mat::from_row(obs);
-        if deterministic {
-            self.mean_action(&m).row(0).to_vec()
+        let mut s = ActScratch::default();
+        self.act_with(obs, rng, deterministic, &mut s);
+        s.action
+    }
+
+    /// Allocation-free [`PnnPolicy::act`]: runs both columns through the
+    /// scratch's reusable buffers and returns a slice of the action held
+    /// by the scratch. Actions are bit-identical to [`PnnPolicy::mean_action`]
+    /// (deterministic) or [`PnnPolicy::sample`] (stochastic, same RNG
+    /// draws), and the head step is the one `GaussianPolicy::act_with`
+    /// uses.
+    pub fn act_with<'s, R: Rng>(
+        &self,
+        obs: &[f32],
+        rng: &mut R,
+        deterministic: bool,
+        s: &'s mut ActScratch,
+    ) -> &'s [f32] {
+        let ActScratch {
+            obs: x,
+            trunk,
+            column,
+            lateral,
+            action,
+        } = s;
+        x.copy_from_row(obs);
+        let raw = self.forward_with(x, trunk, column, lateral);
+        act_head(raw.row(0), self.action_dim, rng, deterministic, action);
+        action
+    }
+
+    /// Raw column-2 output through reusable buffers, bit-identical to
+    /// [`PnnPolicy::forward_cached`]'s: the base column runs layer by layer
+    /// through `base` on the sanitized input (as `Mlp::forward_cached`
+    /// does) one layer behind column 2, which reads `x` as given and adds
+    /// each lateral projection of the previous base activation via
+    /// `lateral`. Returns a reference into `column`.
+    fn forward_with<'s>(
+        &self,
+        x: &Mat,
+        base: &mut Scratch,
+        column: &'s mut Scratch,
+        lateral: &mut Mat,
+    ) -> &'s Mat {
+        let trunk = self.base.trunk();
+        let Scratch {
+            a: base_a,
+            b: base_b,
+        } = base;
+        let Scratch { a: col_a, b: col_b } = column;
+        base_a.copy_from(x);
+        base_a.sanitize_nonfinite();
+        let n = self.column.len();
+        // `base_in_a` / `col_in_a` track where each column's most recent
+        // output landed (column 2 has none before layer 0).
+        let (mut base_in_a, mut col_in_a) = (true, false);
+        for i in 0..n {
+            let act = trunk.activation(i);
+            let (base_prev, base_next) = if base_in_a {
+                (&*base_a, &mut *base_b)
+            } else {
+                (&*base_b, &mut *base_a)
+            };
+            let (col_prev, col_next) = if col_in_a {
+                (&*col_a, &mut *col_b)
+            } else {
+                (&*col_b, &mut *col_a)
+            };
+            self.column[i].forward_into(if i == 0 { x } else { col_prev }, col_next);
+            if i >= 1 {
+                self.laterals[i - 1].forward_into(base_prev, lateral);
+                col_next.add_assign(lateral);
+            }
+            act.apply_inplace(col_next);
+            col_in_a = !col_in_a;
+            if i + 1 < n {
+                trunk.layers()[i].forward_into(base_prev, base_next);
+                act.apply_inplace(base_next);
+                base_in_a = !base_in_a;
+            }
+        }
+        if col_in_a {
+            col_a
         } else {
-            self.sample(&m, rng).head.actions.row(0).to_vec()
+            col_b
         }
     }
 }
@@ -286,7 +371,7 @@ impl PnnPolicy {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn base() -> GaussianPolicy {
         let mut rng = StdRng::seed_from_u64(21);
@@ -403,6 +488,43 @@ mod tests {
         // Trainable = column (same size as base) + laterals (12*12 + 12 + 12*4 + 4).
         let lateral_params = 12 * 12 + 12 + 12 * 4 + 4;
         assert_eq!(count, base_params + lateral_params);
+    }
+
+    /// The allocation-free `act_with` must reproduce the cached forward
+    /// pass bit for bit — deterministic `tanh(mean)` and sampled actions
+    /// with the same RNG draws — across scratch reuse, with laterals
+    /// active (random init) and a non-finite observation entry, which the
+    /// base column sanitizes and column 2 reads as given.
+    #[test]
+    fn act_with_matches_cached_forward_and_rng_stream() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let pnn = PnnPolicy::new(base(), PnnInit::Random, &mut rng);
+        let mut s = ActScratch::default();
+        for deterministic in [true, false] {
+            let mut r1 = StdRng::seed_from_u64(12);
+            let mut r2 = StdRng::seed_from_u64(12);
+            for step in 0..5 {
+                let mut obs: Vec<f32> = (0..5)
+                    .map(|i| ((step * 5 + i) as f32 * 0.41).sin())
+                    .collect();
+                if step == 3 {
+                    obs[1] = f32::INFINITY;
+                }
+                let m = Mat::from_row(&obs);
+                let want = if deterministic {
+                    pnn.mean_action(&m).row(0).to_vec()
+                } else {
+                    pnn.sample(&m, &mut r1).head.actions.row(0).to_vec()
+                };
+                let got = pnn.act_with(&obs, &mut r2, deterministic, &mut s);
+                let same = got
+                    .iter()
+                    .zip(&want)
+                    .all(|(g, w)| g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()));
+                assert!(same, "step {step} det={deterministic}: {got:?} vs {want:?}");
+            }
+            assert_eq!(r1.gen::<u64>(), r2.gen::<u64>());
+        }
     }
 
     #[test]

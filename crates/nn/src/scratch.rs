@@ -23,11 +23,16 @@ pub struct Scratch {
 
 /// Workspace for a single-observation policy `act` call: the 1-row
 /// observation matrix, the trunk's ping-pong buffers, and the action
-/// output vector.
+/// output vector. A progressive network (see `PnnPolicy::act_with`) runs
+/// its frozen base column through `trunk` and also uses the second
+/// column's ping-pong pair and the lateral-projection buffer; plain
+/// policies leave those two empty.
 #[derive(Debug, Clone, Default)]
 pub struct ActScratch {
     pub(crate) obs: Mat,
     pub(crate) trunk: Scratch,
+    pub(crate) column: Scratch,
+    pub(crate) lateral: Mat,
     pub(crate) action: Vec<f32>,
 }
 

@@ -153,23 +153,35 @@ where
     let collected: Mutex<Vec<Slot<R>>> = Mutex::new(Vec::with_capacity(items.len()));
 
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut local: Vec<Slot<R>> = Vec::new();
-                loop {
-                    let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= items.len() {
-                        break;
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut local: Vec<Slot<R>> = Vec::new();
+                    loop {
+                        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+                        if start >= items.len() {
+                            break;
+                        }
+                        let end = (start + chunk).min(items.len());
+                        for (idx, item) in items[start..end].iter().enumerate() {
+                            let idx = start + idx;
+                            let out = catch_unwind(AssertUnwindSafe(|| f(idx, item)));
+                            local.push((idx, out));
+                        }
                     }
-                    let end = (start + chunk).min(items.len());
-                    for (idx, item) in items[start..end].iter().enumerate() {
-                        let idx = start + idx;
-                        let out = catch_unwind(AssertUnwindSafe(|| f(idx, item)));
-                        local.push((idx, out));
-                    }
-                }
-                collected.lock().unwrap().extend(local);
-            });
+                    collected.lock().unwrap().extend(local);
+                })
+            })
+            .collect();
+        // Join each worker's OS thread, not just its closure: the scope
+        // alone returns once the closures finish, while the threads may
+        // still be exiting and holding their malloc arenas. The next map
+        // would then find no free arena and create another, so a
+        // process that maps often grows its resident memory.
+        for handle in handles {
+            if let Err(payload) = handle.join() {
+                resume_unwind(payload);
+            }
         }
     });
 
