@@ -3,9 +3,9 @@
 //!
 //! - The fleet control loop — `WorldBatch::step` plus
 //!   `BehaviorPlanner::plan_into` for every slot: the per-world
-//!   `StepScratch` (lead tables + NPC actuations), the batch's SoA lanes
-//!   and command buffers, and the planner's reused `Path` must all reach a
-//!   fixed point.
+//!   `StepScratch` (lead tables + NPC actuations), the batch's command
+//!   buffers, and the planner's reused `Path` must all reach a fixed
+//!   point.
 //! - The serial per-step calls: `E2eAgent::act` over a pre-packed policy,
 //!   `LearnedAttacker::delta` with camera and IMU sensors, and the Simplex
 //!   switcher's and the detector agent's PNN columns (hardened and base).
@@ -26,7 +26,7 @@ use drive_agents::Agent;
 use drive_nn::batch::BatchPolicy;
 use drive_nn::gaussian::GaussianPolicy;
 use drive_nn::pnn::{PnnInit, PnnPolicy};
-use drive_sim::batch::{Precision, WorldBatch};
+use drive_sim::batch::WorldBatch;
 use drive_sim::scenario::Scenario;
 use drive_sim::sensors::{FeatureConfig, ImuConfig};
 use drive_sim::vehicle::Actuation;
@@ -88,9 +88,10 @@ fn control_step(
     wb.step(actions, outcomes);
 }
 
-fn run_case(precision: Precision) {
+#[test]
+fn steady_state_batch_step_and_plan_are_allocation_free_golden() {
     const BATCH: usize = 8;
-    let mut wb = WorldBatch::new(precision);
+    let mut wb = WorldBatch::new();
     let mut planners = Vec::new();
     let mut bufs = Vec::new();
     for slot in 0..BATCH as u64 {
@@ -104,8 +105,8 @@ fn run_case(precision: Precision) {
     let mut actions: Vec<Actuation> = Vec::with_capacity(BATCH);
     let mut outcomes = Vec::new();
 
-    // Warm-up: sizes the per-world step scratches, the batch's SoA lanes
-    // and command buffers, and every planner's waypoint buffer (including
+    // Warm-up: sizes the per-world step scratches, the batch's command
+    // buffers, and every planner's waypoint buffer (including
     // the lane-change variant, which shares the same fixed horizon).
     for _ in 0..30 {
         control_step(
@@ -130,18 +131,8 @@ fn run_case(precision: Precision) {
     let grew = allocs() - before;
     assert_eq!(
         grew, 0,
-        "steady-state step+plan loop ({precision:?}) allocated {grew} times across 10 iterations"
+        "steady-state step+plan loop allocated {grew} times across 10 iterations"
     );
-}
-
-#[test]
-fn steady_state_batch_step_and_plan_are_allocation_free_golden() {
-    run_case(Precision::Golden);
-}
-
-#[test]
-fn steady_state_batch_step_and_plan_are_allocation_free_fast() {
-    run_case(Precision::Fast);
 }
 
 /// Steps one world under `act`, warming up for 30 steps, then returns the

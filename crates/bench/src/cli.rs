@@ -23,11 +23,7 @@
 //! * `--artifacts <dir>` — checkpoint directory (default `artifacts/`)
 //! * `--fleet <n>` — route fleet-capable evaluation cells through the
 //!   batched [`WorldBatch`](drive_sim::batch::WorldBatch) engine with `n`
-//!   episodes in lockstep (the f64 golden path is byte-identical to the
-//!   serial engine)
-//! * `--precision golden|f32` — integrator precision for fleet cells;
-//!   `f32` is the inference-only fast path and journals under its own
-//!   cell keys
+//!   episodes in lockstep (byte-identical to the serial engine)
 //! * `--perf-json <path>` — write per-phase throughput as JSON
 //! * `validate-manifest <path>` — re-check a manifest's file checksums
 //! * `bench-compare <current.json>` — diff a fresh `PERF_JSON` export from
@@ -77,8 +73,6 @@ pub struct CliArgs {
     pub perf_json: Option<PathBuf>,
     /// Fleet batch size (`None` = serial evaluation).
     pub fleet: Option<usize>,
-    /// Integrator precision for fleet-routed cells.
-    pub precision: drive_sim::batch::Precision,
     /// Manifest to validate instead of running experiments.
     pub validate_manifest: Option<PathBuf>,
     /// Fresh bench export to compare against the baseline.
@@ -253,14 +247,6 @@ impl CliArgs {
                         return Err(CliError::InvalidValue("--fleet".to_string(), raw.clone()));
                     }
                     out.fleet = Some(batch);
-                }
-                "--precision" => {
-                    let raw = it
-                        .next()
-                        .ok_or_else(|| CliError::MissingValue("--precision".to_string()))?;
-                    out.precision = drive_sim::batch::Precision::parse(raw).ok_or_else(|| {
-                        CliError::InvalidValue("--precision".to_string(), raw.clone())
-                    })?;
                 }
                 "validate-manifest" => {
                     out.validate_manifest = Some(value(&mut it, "validate-manifest")?)
@@ -482,13 +468,8 @@ pub fn run(args: &CliArgs) -> Result<(), CliError> {
     ctx.svg_dir = args.svg.clone();
     ctx.journal = journal;
     ctx.fleet = args.fleet;
-    ctx.precision = args.precision;
     if let Some(batch) = args.fleet {
-        eprintln!(
-            "[fleet] batched evaluation: {} episodes in lockstep, {} precision",
-            batch,
-            args.precision.label()
-        );
+        eprintln!("[fleet] batched evaluation: {batch} episodes in lockstep");
     }
     // The run directory a graceful interruption can be resumed from (only
     // meaningful while a journal is recording).
@@ -567,7 +548,7 @@ pub fn main_from_env() -> i32 {
         Ok(args) => {
             if !args.selects_anything() {
                 eprintln!(
-                    "usage: repro_bench [<experiment>...|--all|--filter <substr>|--list|validate-manifest <path>|bench-compare <current.json>]\n       [--smoke] [--quick] [--csv <dir>] [--svg <dir>] [--resume <dir>] [--no-journal]\n       [--artifacts <dir>] [--perf-json <path>] [--baseline <path>] [--tolerance <ratio>]\n       [--fleet <batch>] [--precision golden|f32]\n   or: repro_bench shard <dir> [--worker <id>] [--ttl-ms <n>] [--heartbeat-ms <n>] [<experiment>...|--all]\n       [--smoke] [--quick] [--artifacts <dir>] [--fleet <batch>] [--precision golden|f32]\n   or: repro_bench merge <dir> [--out <dir>] [--quick] [--artifacts <dir>] [--fleet <batch>] [--precision golden|f32]\n   or: repro_bench serve|loadgen [--requests <n>] [--qps <n>] [--seed <n>] [--workers <n>]\n       [--kills <n>] [--stalls <n>] [--corrupt-rate <f>] [--attack-at-us <n>] [--attack-delta <f>]\n       [--expect-no-sheds] [--expect-degraded] [--latency-json <path>] [--slo-p99-us <n>] [--qps-grid <a,b,...>]\n"
+                    "usage: repro_bench [<experiment>...|--all|--filter <substr>|--list|validate-manifest <path>|bench-compare <current.json>]\n       [--smoke] [--quick] [--csv <dir>] [--svg <dir>] [--resume <dir>] [--no-journal]\n       [--artifacts <dir>] [--perf-json <path>] [--baseline <path>] [--tolerance <ratio>]\n       [--fleet <batch>]\n   or: repro_bench shard <dir> [--worker <id>] [--ttl-ms <n>] [--heartbeat-ms <n>] [<experiment>...|--all]\n       [--smoke] [--quick] [--artifacts <dir>] [--fleet <batch>]\n   or: repro_bench merge <dir> [--out <dir>] [--quick] [--artifacts <dir>] [--fleet <batch>]\n   or: repro_bench serve|loadgen [--requests <n>] [--qps <n>] [--seed <n>] [--workers <n>]\n       [--kills <n>] [--stalls <n>] [--corrupt-rate <f>] [--attack-at-us <n>] [--attack-delta <f>]\n       [--expect-no-sheds] [--expect-degraded] [--latency-json <path>] [--slo-p99-us <n>] [--qps-grid <a,b,...>]\n"
                 );
                 eprint!("{}", Registry::list(Registry::all()));
                 return 2;
@@ -756,27 +737,24 @@ mod tests {
     }
 
     #[test]
-    fn parses_fleet_and_precision() {
-        use drive_sim::batch::Precision;
-        let args = parse(&["--all", "--fleet", "64", "--precision", "f32"]);
-        assert_eq!(args.fleet, Some(64));
-        assert_eq!(args.precision, Precision::Fast);
-        let args = parse(&["--all", "--precision", "golden"]);
-        assert!(args.fleet.is_none());
-        assert_eq!(args.precision, Precision::Golden);
-        // Default precision is the bit-exact golden path.
-        assert_eq!(parse(&["--all"]).precision, Precision::Golden);
+    fn parses_fleet() {
+        assert_eq!(parse(&["--all", "--fleet", "64"]).fleet, Some(64));
+        assert!(parse(&["--all"]).fleet.is_none());
 
-        for bad in [
-            &["--fleet", "0"][..],
-            &["--fleet", "x"],
-            &["--precision", "f16"],
-        ] {
+        for bad in [&["--fleet", "0"][..], &["--fleet", "x"]] {
             let argv: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
             let err = CliArgs::parse(&argv).expect_err(&argv.join(" "));
             assert!(matches!(err, CliError::InvalidValue(..)), "{err:?}");
             assert_eq!(exit_code(&err), 2);
         }
+        // `--precision` is not a flag: it is rejected, not ignored.
+        let argv: Vec<String> = ["--all", "--precision", "f32"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let err = CliArgs::parse(&argv).expect_err("retired flag");
+        assert!(matches!(err, CliError::UnknownFlag(..)), "{err:?}");
+        assert_eq!(exit_code(&err), 2);
         let dangling: Vec<String> = vec!["--fleet".into()];
         assert!(matches!(
             CliArgs::parse(&dangling),

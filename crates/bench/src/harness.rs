@@ -14,7 +14,6 @@ use drive_agents::modular::{ModularAgent, ModularConfig};
 use drive_agents::Agent;
 use drive_nn::batch::BatchPolicy;
 use drive_nn::gaussian::GaussianPolicy;
-use drive_sim::batch::Precision;
 use drive_sim::faults::{FaultInjector, FaultSchedule};
 use drive_sim::record::EpisodeRecord;
 use drive_sim::scenario::Scenario;
@@ -167,43 +166,28 @@ pub fn attacked_records(
     attacked_records_in(kind, attack, budget, ctx, episodes, seeds, None)
 }
 
-/// [`attacked_records`] with an optional [`ScenarioCell`] override.
+/// The journal label and key of one evaluation cell.
 ///
-/// With `cell == None` this is byte-identical to [`attacked_records`] —
-/// same records, same journal keys — so every pre-existing experiment and
-/// journal is unaffected. With an override, the scenario fingerprint (and
-/// a fault tag, when scheduled) extends the cell label and journal key.
-pub fn attacked_records_in(
+/// The key pins everything the records are a function of — the seed
+/// namespace, the run seed and the cell's own coordinates — while the
+/// journal header pins the pipeline config the artifacts derive from.
+/// Fleet-stepped cells share the serial key: they are byte-identical (see
+/// `attack_core::fleet`). Both strings are part of the on-disk format of
+/// journals and shard directories, so changing either orphans every
+/// journaled cell.
+fn cell_id(
     kind: AgentKind,
-    attack: Option<(&GaussianPolicy, SensorKind)>,
+    sensor: Option<SensorKind>,
     budget: AttackBudget,
-    ctx: &crate::engine::RunContext,
+    run_seed: u64,
     episodes: usize,
     seeds: &drive_seed::SeedTree,
     cell: Option<ScenarioCell<'_>>,
-) -> Vec<EpisodeRecord> {
-    // Crash-safety fast path: a cell journaled by an earlier (killed) run
-    // replays from its sidecar. The key pins everything the records are a
-    // function of — the seed namespace, the run seed, and the cell's own
-    // coordinates — while the journal header pins the pipeline config the
-    // artifacts derive from.
-    let sensor_name = match attack {
+) -> (String, u64) {
+    let sensor_name = match sensor {
         None => "none",
-        Some((_, SensorKind::Camera)) => "camera",
-        Some((_, SensorKind::Imu)) => "imu",
-    };
-    // Fleet-stepped Golden cells share the serial key (they are
-    // byte-identical — see `attack_core::fleet`); Fast (`f32`) cells get a
-    // distinct key so reduced-precision records can never be replayed into
-    // a golden run, or vice versa. Faulted cells carry per-step injector
-    // state that does not batch, so they stay on the serial path.
-    let fleet_routable = ctx.fleet.is_some()
-        && fleet_victim(kind, ctx.artifacts).is_some()
-        && !cell.is_some_and(|c| c.has_faults());
-    let precision_tag = if fleet_routable && ctx.precision == Precision::Fast {
-        "|f32"
-    } else {
-        ""
+        Some(SensorKind::Camera) => "camera",
+        Some(SensorKind::Imu) => "imu",
     };
     // Scenario-override cells key on the scenario's content hash (and its
     // fault schedule); the default scenario keeps the tagless legacy key.
@@ -220,29 +204,56 @@ pub fn attacked_records_in(
             format!("|scn={:016x}{}", c.fingerprint, fault_tag)
         }
     };
-    let cell_label = format!(
-        "{}|{}|{}|eps={}|{}ep{}{}",
+    let label = format!(
+        "{}|{}|{}|eps={}|{}ep{}",
         seeds.path(),
         kind.label(),
         sensor_name,
         budget.epsilon(),
         episodes,
-        precision_tag,
         scenario_tag
     );
-    let cell_key = drive_seed::fnv1a_64(
+    let key = drive_seed::fnv1a_64(
         format!(
-            "cell|{}|{:016x}|{:?}|{}|{:016x}|{}{}{}",
+            "cell|{}|{:016x}|{:?}|{}|{:016x}|{}{}",
             seeds.path(),
-            ctx.scale.seed,
+            run_seed,
             kind,
             sensor_name,
             budget.epsilon().to_bits(),
             episodes,
-            precision_tag,
             scenario_tag
         )
         .as_bytes(),
+    );
+    (label, key)
+}
+
+/// [`attacked_records`] with an optional [`ScenarioCell`] override.
+///
+/// With `cell == None` this is byte-identical to [`attacked_records`] —
+/// same records, same journal keys — so every pre-existing experiment and
+/// journal is unaffected. With an override, the scenario fingerprint (and
+/// a fault tag, when scheduled) extends the cell label and journal key.
+pub fn attacked_records_in(
+    kind: AgentKind,
+    attack: Option<(&GaussianPolicy, SensorKind)>,
+    budget: AttackBudget,
+    ctx: &crate::engine::RunContext,
+    episodes: usize,
+    seeds: &drive_seed::SeedTree,
+    cell: Option<ScenarioCell<'_>>,
+) -> Vec<EpisodeRecord> {
+    // A cell journaled by an earlier (killed) run replays from its sidecar,
+    // found under this key.
+    let (cell_label, cell_key) = cell_id(
+        kind,
+        attack.map(|(_, sensor)| sensor),
+        budget,
+        ctx.scale.seed,
+        episodes,
+        seeds,
+        cell,
     );
     // Sharded multi-process path: the lease coordinator decides whether
     // this worker loads a peer's published sidecar, computes the cell
@@ -258,7 +269,6 @@ pub fn attacked_records_in(
                 episodes,
                 seeds,
                 cell,
-                fleet_routable,
                 &cell_label,
             )
         });
@@ -294,7 +304,6 @@ pub fn attacked_records_in(
         episodes,
         seeds,
         cell,
-        fleet_routable,
         &cell_label,
     );
     // Journal only clean, complete cells: a cell with retried-out episodes
@@ -311,7 +320,7 @@ pub fn attacked_records_in(
 }
 
 /// The compute body of one cell, shared by the single-process and sharded
-/// paths: fleet fast path (with serial fallback on panic) or the hardened
+/// paths: fleet path (with serial fallback on panic) or the hardened
 /// serial executor. Returns the records plus a clean flag (`true` when
 /// every episode succeeded), which gates journaling / sidecar publication.
 #[allow(clippy::too_many_arguments)]
@@ -323,7 +332,6 @@ fn compute_cell(
     episodes: usize,
     seeds: &drive_seed::SeedTree,
     cell: Option<ScenarioCell<'_>>,
-    fleet_routable: bool,
     cell_label: &str,
 ) -> (Vec<EpisodeRecord>, bool) {
     let artifacts = ctx.artifacts;
@@ -331,16 +339,17 @@ fn compute_cell(
     let scenario = cell.map_or(&config.scenario, |c| c.scenario);
     let fault_schedule = cell.and_then(|c| c.faults.filter(|f| !f.is_noop()));
     let adv = AdvReward::default();
-    // Fleet fast path: plain-GaussianPolicy victims batch across episodes
-    // (one GEMM per layer per lockstep step). Golden precision is
-    // byte-identical to the serial loop below; a panicking fleet cell
-    // falls back to the serial path, whose per-episode retry machinery
-    // can isolate the bad episode.
-    if fleet_routable {
-        let (batch, victim) = (
-            ctx.fleet.expect("fleet_routable checked"),
-            fleet_victim(kind, artifacts).expect("fleet_routable checked"),
-        );
+    // Fleet path: plain-GaussianPolicy victims batch across episodes (one
+    // GEMM per layer per lockstep step), byte-identical to the serial loop
+    // below; a panicking fleet cell falls back to the serial path, whose
+    // per-episode retry machinery can isolate the bad episode. Faulted
+    // cells carry per-step injector state that does not batch, so they
+    // stay serial.
+    let fleet = ctx
+        .fleet
+        .zip(fleet_victim(kind, artifacts))
+        .filter(|_| !cell.is_some_and(|c| c.has_faults()));
+    if let Some((batch, victim)) = fleet {
         let eval = attack_core::fleet::FleetEval {
             victim,
             features: config.features.clone(),
@@ -350,13 +359,9 @@ fn compute_cell(
             adv: AdvReward::default(),
             scenario: scenario.clone(),
         };
-        let plan = attack_core::fleet::FleetPlan {
-            batch,
-            precision: ctx.precision,
-        };
         let base_seed = seeds.child("episodes").seed();
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            eval.run(episodes, base_seed, plan)
+            eval.run(episodes, base_seed, batch)
         })) {
             Ok(records) => return (records, true),
             Err(payload) => {
@@ -529,10 +534,9 @@ mod tests {
         assert_eq!(nominal, again);
     }
 
-    /// A fleet-routed context must produce the same records as the serial
-    /// path — byte-for-byte for Golden precision — for every routable
-    /// agent kind, and non-routable kinds must keep working (silently
-    /// staying serial).
+    /// A fleet-routed context must produce byte-for-byte the same records
+    /// as the serial path for every routable agent kind, and non-routable
+    /// kinds must keep working (silently staying serial).
     #[test]
     fn fleet_context_matches_serial_records() {
         let (artifacts, config) = quick_setup();
@@ -569,52 +573,84 @@ mod tests {
         assert_eq!(fleet, serial);
     }
 
-    /// Fast precision must journal under a different cell key than Golden
-    /// so `f32` records can never replay into a golden run.
+    /// Cell labels and keys are the on-disk identity of journaled and
+    /// sharded cells: a run directory written by an earlier build must
+    /// still resume and merge. The literals below are what that earlier
+    /// build printed for one default Fig. 4 cell and two scenario-matrix
+    /// override cells (one fault-free, one faulted) at paper scale.
     #[test]
-    fn fast_precision_gets_distinct_cell_key() {
-        let (artifacts, config) = quick_setup();
-        let dir = std::env::temp_dir().join("repro-bench-fleet-key-test");
-        let base = crate::engine::RunContext::new(&artifacts, &config, Scale::smoke());
-        let journal = std::sync::Arc::new(
-            crate::journal::JournalHandle::create(&dir, base.run_header()).unwrap(),
+    fn cell_labels_and_keys_are_stable() {
+        let run_seed = Scale::paper().seed;
+        let root = drive_seed::SeedTree::root(run_seed);
+        let fig4 = root
+            .child("fig4")
+            .child(SensorKind::Camera)
+            .child("eps1.00");
+        assert_eq!(
+            cell_id(
+                AgentKind::E2e,
+                Some(SensorKind::Camera),
+                AttackBudget::new(1.0),
+                run_seed,
+                30,
+                &fig4,
+                None,
+            ),
+            (
+                "root/fig4/camera/eps1.00|pi_ori|camera|eps=1|30ep".to_string(),
+                0xc02c_a167_8f89_667b
+            )
         );
-        let mk = |precision| {
-            let mut ctx = crate::engine::RunContext::new(&artifacts, &config, Scale::smoke());
-            ctx.fleet = Some(2);
-            ctx.precision = precision;
-            ctx.journal = Some(journal.clone());
-            ctx
+
+        let ns = root.child("scenario-matrix");
+        let scenarios = crate::experiments::scenario_matrix::generate_matrix(&ns);
+        let id = |name: &str, kind: AgentKind, sensor: Option<SensorKind>| {
+            let g = scenarios
+                .iter()
+                .find(|g| g.spec.name == name)
+                .expect("scenario generated");
+            let budget = match sensor {
+                None => AttackBudget::ZERO,
+                Some(_) => AttackBudget::new(1.0),
+            };
+            let seeds = ns
+                .child("eval")
+                .child(&g.spec.name)
+                .child(kind.label())
+                .child(sensor.map_or("none".to_string(), |s| s.to_string()));
+            let cell = ScenarioCell {
+                scenario: g.spec.scenario(),
+                fingerprint: g.spec.fingerprint(),
+                faults: Some(&g.faults),
+            };
+            cell_id(kind, sensor, budget, run_seed, 5, &seeds, Some(cell))
         };
-        let golden_ctx = mk(drive_sim::batch::Precision::Golden);
-        let seeds = golden_ctx.seeds.child("key-test");
-        let golden = attacked_records(
-            AgentKind::E2e,
-            None,
-            AttackBudget::ZERO,
-            &golden_ctx,
-            2,
-            &seeds,
-        );
-        assert_eq!(journal.cell_count(), 1);
-        // A Fast run against the same journal must NOT replay the golden
-        // cell: a distinct key forces a recompute, which journals a second
-        // cell. A key collision would short-circuit and leave the count at 1.
-        let fast_ctx = mk(drive_sim::batch::Precision::Fast);
-        let fast = attacked_records(
-            AgentKind::E2e,
-            None,
-            AttackBudget::ZERO,
-            &fast_ctx,
-            2,
-            &seeds,
+        assert_eq!(
+            id(
+                "lane_drop_dense_fast_f000_60c0ec5a321b7035",
+                AgentKind::AdvRhoHalf,
+                None
+            ),
+            (
+                "root/scenario-matrix/eval/lane_drop_dense_fast_f000_60c0ec5a321b7035/\
+                 pi_adv(rho=1/2)/none|pi_adv(rho=1/2)|none|eps=0|5ep|scn=36d624f9aa0ef1e4"
+                    .to_string(),
+                0x5038_75ba_34d7_6321
+            )
         );
         assert_eq!(
-            journal.cell_count(),
-            2,
-            "Fast must journal under its own cell key"
+            id(
+                "straight_normal_slow_f050_fc3d520356f04a7e",
+                AgentKind::E2e,
+                Some(SensorKind::Camera)
+            ),
+            (
+                "root/scenario-matrix/eval/straight_normal_slow_f050_fc3d520356f04a7e/\
+                 pi_ori/camera|pi_ori|camera|eps=1|5ep|scn=003f190ef8ca7cd1|flt=4005140a739923c4"
+                    .to_string(),
+                0x87cd_79ac_7028_ecbb
+            )
         );
-        assert_eq!(golden.len(), fast.len());
     }
 
     /// A scenario-override cell must (a) journal under its own key, (b)

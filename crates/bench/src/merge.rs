@@ -14,12 +14,13 @@
 //! producing CSVs, SVGs, and manifests **byte-identical** to an
 //! uninterrupted single-process run — cell ordering is defined by the
 //! grid and the seed namespace, not by which worker finished first.
+//! Leases still on disk are reported by owner, and stale ones reaped.
 
 use crate::cli::{CliArgs, CliError};
 use crate::engine::{self, Registry, RunContext};
 use crate::harness::Scale;
 use crate::journal::{scan_frames, JournalHandle, RunHeader, MAGIC};
-use crate::shard::ShardHeader;
+use crate::shard::{self, LeaseCheck, ShardHeader};
 use drive_seed::fnv1a_64;
 use drive_sim::record::{decode_records, encode_records, EpisodeRecord};
 use std::collections::BTreeMap;
@@ -54,9 +55,9 @@ pub struct MergeCli {
     pub dir: PathBuf,
     /// Where merged outputs land (`--out`, default `<dir>/merged`).
     pub out: PathBuf,
-    /// Standard pipeline flags (`--quick`, `--artifacts`, `--fleet`,
-    /// `--precision`); these must reproduce the workers' configuration
-    /// and are verified against the shard header.
+    /// Standard pipeline flags (`--quick`, `--artifacts`, `--fleet`);
+    /// these must reproduce the workers' configuration and are verified
+    /// against the shard header.
     pub cli: CliArgs,
 }
 
@@ -163,6 +164,12 @@ pub fn run_merge(parsed: &MergeCli) -> Result<(), CliError> {
         scan.workers.len(),
         duplicates
     );
+    for (owner, (reaped, live)) in leftover_leases(&parsed.dir) {
+        eprintln!(
+            "[merge] leftover leases of worker {owner}: {reaped} reaped (stale), \
+             {live} leaked (live)"
+        );
+    }
 
     // Assemble the merged journal from the winning sidecars. The journal
     // replays by key, so store order is irrelevant to the outputs; keys
@@ -193,7 +200,6 @@ pub fn run_merge(parsed: &MergeCli) -> Result<(), CliError> {
     probe.journal = Some(Arc::clone(&journal));
     probe.missing_cells = Some(Arc::clone(&missing));
     probe.fleet = parsed.cli.fleet;
-    probe.precision = parsed.cli.precision;
     for exp in &experiments {
         let _ = exp.run(&probe);
     }
@@ -215,7 +221,6 @@ pub fn run_merge(parsed: &MergeCli) -> Result<(), CliError> {
     ctx.csv_dir = Some(parsed.out.clone());
     ctx.svg_dir = Some(parsed.out.clone());
     ctx.fleet = parsed.cli.fleet;
-    ctx.precision = parsed.cli.precision;
     for exp in &experiments {
         let outcome = engine::execute(*exp, &ctx)?;
         println!("{}", outcome.report);
@@ -230,6 +235,22 @@ pub fn run_merge(parsed: &MergeCli) -> Result<(), CliError> {
         parsed.out.display()
     );
     Ok(())
+}
+
+/// Counts every lease still on disk as `(reaped, live)` per owner. A
+/// completed run leaves none; a stale one was leaked by a worker that
+/// died while holding it and is reaped here, and a live one (its owner
+/// still heartbeating) is left alone.
+fn leftover_leases(dir: &Path) -> BTreeMap<String, (usize, usize)> {
+    let mut by_owner: BTreeMap<String, (usize, usize)> = BTreeMap::new();
+    for key in shard::lease_keys(dir) {
+        match shard::reap_stale_lease(dir, key, shard::DEFAULT_TTL, "merge") {
+            LeaseCheck::Gone => {}
+            LeaseCheck::Reaped(owner) => by_owner.entry(owner).or_default().0 += 1,
+            LeaseCheck::Live(owner) => by_owner.entry(owner).or_default().1 += 1,
+        }
+    }
+    by_owner
 }
 
 /// Scans, checksum-verifies, and conflict-checks a shard directory,
@@ -362,6 +383,7 @@ fn find_conflicts(scan: &ShardScan) -> Vec<String> {
 mod tests {
     use super::*;
     use crate::shard::{ShardConfig, ShardState};
+    use std::time::Duration;
 
     fn temp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(name);
@@ -420,6 +442,32 @@ mod tests {
         assert_eq!(scan.workers, ["w1", "w2"]);
         assert_eq!(scan.labels[&1].0, "cell-1");
         assert!(find_conflicts(&scan).is_empty());
+    }
+
+    #[test]
+    fn leftover_leases_are_reported_by_owner_and_stale_ones_reaped() {
+        let dir = temp("repro-merge-leftover-leases");
+        let lease = |key: u64, owner: &str, age: Duration| {
+            let path = dir.join("leases").join(format!("cell-{key:016x}.lease"));
+            std::fs::write(&path, format!("lease {key:016x} {owner}\n")).unwrap();
+            let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+            file.set_modified(std::time::SystemTime::now() - age)
+                .unwrap();
+            path
+        };
+        std::fs::create_dir_all(dir.join("leases")).unwrap();
+        let stale = 2 * shard::DEFAULT_TTL;
+        let dead_a = lease(1, "w1", stale);
+        let dead_b = lease(2, "w1", stale);
+        let live = lease(3, "w2", Duration::ZERO);
+        let report = leftover_leases(&dir);
+        assert_eq!(
+            report.into_iter().collect::<Vec<_>>(),
+            [("w1".to_string(), (2, 0)), ("w2".to_string(), (0, 1))]
+        );
+        assert!(!dead_a.exists() && !dead_b.exists());
+        assert!(live.exists(), "a live owner's lease is left alone");
+        assert!(leftover_leases(&dir.join("no-such-shard")).is_empty());
     }
 
     #[test]

@@ -42,6 +42,14 @@
 //! deterministic) and the merge dedupes them; differing checksums are a
 //! hard merge error naming both owners.
 //!
+//! A worker killed after publishing a cell but before releasing its
+//! lease leaves a claim on a finished cell. Nobody would ever try to
+//! acquire it again, so the same stale-check + tombstone rename *reaps*
+//! it instead ([`reap_stale_lease`]): when a worker loads a published
+//! cell whose lease is stale, in each worker's end-of-run sweep (which
+//! waits up to about one TTL for such leases to go stale), and in the
+//! merge, which reports any leftovers by owner.
+//!
 //! A polite SIGTERM latches [`drive_core::shutdown`]; the worker unwinds
 //! at the next cell boundary and a registered drain hook releases every
 //! held lease so peers do not wait out the TTL.
@@ -59,7 +67,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Default lease TTL: a heartbeat older than this is stealable.
 pub const DEFAULT_TTL: Duration = Duration::from_secs(30);
@@ -170,6 +178,83 @@ impl ShardHeader {
             .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
         ShardHeader::decode(&text).map_err(|e| format!("{}: {e}", path.display()))
     }
+}
+
+/// `<dir>/leases/cell-<key>.lease`.
+fn lease_path(dir: &Path, key: u64) -> PathBuf {
+    dir.join("leases").join(format!("cell-{key:016x}.lease"))
+}
+
+/// The owner id recorded in a lease body (`lease <key> <owner>`).
+fn lease_owner(text: &str) -> Option<&str> {
+    text.lines().next()?.split_whitespace().nth(2)
+}
+
+/// Keys of every lease file in `<dir>/leases`, sorted.
+pub(crate) fn lease_keys(dir: &Path) -> Vec<u64> {
+    let mut keys: Vec<u64> = std::fs::read_dir(dir.join("leases"))
+        .map(|entries| {
+            entries
+                .flatten()
+                .filter_map(|e| {
+                    let name = e.file_name();
+                    let hex = name
+                        .to_str()?
+                        .strip_prefix("cell-")?
+                        .strip_suffix(".lease")?;
+                    u64::from_str_radix(hex, 16).ok()
+                })
+                .collect()
+        })
+        .unwrap_or_default();
+    keys.sort_unstable();
+    keys
+}
+
+/// What [`reap_stale_lease`] found at a cell's lease path.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum LeaseCheck {
+    /// No lease: released, or another reaper or stealer won the rename.
+    Gone,
+    /// A lease whose heartbeat is within the TTL; carries its owner.
+    Live(String),
+    /// A stale lease, now removed; carries its previous owner.
+    Reaped(String),
+}
+
+/// Removes `key`'s lease if its heartbeat is older than `ttl`. The
+/// rename to a per-reaper tombstone is the atomic arbiter: of two racing
+/// reapers (or stealers) exactly one `rename` succeeds. Used to steal the
+/// claim on an unfinished cell and to clear the leaked claim on a
+/// published one.
+pub(crate) fn reap_stale_lease(dir: &Path, key: u64, ttl: Duration, reaper: &str) -> LeaseCheck {
+    let path = lease_path(dir, key);
+    let Ok(meta) = std::fs::metadata(&path) else {
+        return LeaseCheck::Gone;
+    };
+    let stale = meta
+        .modified()
+        .ok()
+        .and_then(|m| m.elapsed().ok())
+        .is_some_and(|age| age > ttl);
+    let owner_of = |path: &Path| {
+        std::fs::read_to_string(path)
+            .ok()
+            .and_then(|text| lease_owner(&text).map(str::to_string))
+            .unwrap_or_else(|| "(unreadable)".to_string())
+    };
+    if !stale {
+        return LeaseCheck::Live(owner_of(&path));
+    }
+    let tomb = dir
+        .join("leases")
+        .join(format!("cell-{key:016x}.steal-{reaper}"));
+    if std::fs::rename(&path, &tomb).is_err() {
+        return LeaseCheck::Gone;
+    }
+    let owner = owner_of(&tomb);
+    let _ = std::fs::remove_file(&tomb);
+    LeaseCheck::Reaped(owner)
 }
 
 /// Knobs of one shard worker.
@@ -365,10 +450,7 @@ impl ShardState {
     }
 
     fn lease_path(&self, key: u64) -> PathBuf {
-        self.config
-            .dir
-            .join("leases")
-            .join(format!("cell-{key:016x}.lease"))
+        lease_path(&self.config.dir, key)
     }
 
     fn sidecar_path(&self, key: u64) -> PathBuf {
@@ -409,6 +491,9 @@ impl ShardState {
                     self.log("waited", label, &format!("{attempt} poll(s)"));
                 }
                 self.log("loaded", label, "");
+                // A stale claim on a published cell was leaked by an owner
+                // that died between publish and release.
+                self.reap(key, label);
                 return records;
             }
             // Graceful-shutdown safe point: between cells (and between
@@ -483,18 +568,8 @@ impl ShardState {
     /// Public for the `lease_claim_ns` micro-bench; experiments go
     /// through [`ShardState::run_cell`], which drives this internally.
     pub fn try_acquire(&self, key: u64, label: &str) -> bool {
-        let path = self.lease_path(key);
-        match std::fs::OpenOptions::new()
-            .write(true)
-            .create_new(true)
-            .open(&path)
-        {
-            Ok(mut file) => {
-                let body = format!("lease {key:016x} {}\n", self.config.owner);
-                let sum = fnv1a_64(body.as_bytes());
-                let _ = file.write_all(format!("{body}sum {sum:016x}\n").as_bytes());
-                let _ = file.sync_data();
-                self.held.lock().expect("held lock").insert(key);
+        match self.create_lease(key) {
+            Ok(()) => {
                 self.log("claimed", label, "");
                 true
             }
@@ -509,60 +584,98 @@ impl ShardState {
         }
     }
 
-    /// Steals `key`'s lease if its heartbeat is older than the TTL. The
-    /// rename-to-tombstone is the atomic arbiter: of two racing
-    /// stealers exactly one `rename` succeeds, the loser re-polls.
+    /// Atomically creates `key`'s lease (`O_EXCL`) owned by this worker.
+    fn create_lease(&self, key: u64) -> std::io::Result<()> {
+        let mut file = std::fs::OpenOptions::new()
+            .write(true)
+            .create_new(true)
+            .open(self.lease_path(key))?;
+        let body = format!("lease {key:016x} {}\n", self.config.owner);
+        let sum = fnv1a_64(body.as_bytes());
+        let _ = file.write_all(format!("{body}sum {sum:016x}\n").as_bytes());
+        let _ = file.sync_data();
+        self.held.lock().expect("held lock").insert(key);
+        Ok(())
+    }
+
+    /// Steals `key`'s lease if its heartbeat is older than the TTL (see
+    /// [`reap_stale_lease`]); the loser of a steal race re-polls.
     fn try_steal(&self, key: u64, label: &str) -> bool {
-        let path = self.lease_path(key);
-        let stale = match std::fs::metadata(&path) {
-            Ok(meta) => meta
-                .modified()
-                .ok()
-                .and_then(|m| m.elapsed().ok())
-                .is_some_and(|age| age > self.config.ttl),
-            // Vanished between the failed create and here: the owner
-            // released it. Report busy; the next poll re-tries the
-            // create path.
-            Err(_) => false,
-        };
-        if !stale {
+        let LeaseCheck::Reaped(prev_owner) =
+            reap_stale_lease(&self.config.dir, key, self.config.ttl, &self.config.owner)
+        else {
             return false;
-        }
-        let tomb = self
-            .config
-            .dir
-            .join("leases")
-            .join(format!("cell-{key:016x}.steal-{}", self.config.owner));
-        if std::fs::rename(&path, &tomb).is_err() {
-            return false; // another stealer won the rename
-        }
-        let prev_owner = std::fs::read_to_string(&tomb)
-            .ok()
-            .and_then(|text| {
-                text.lines()
-                    .next()
-                    .and_then(|l| l.split_whitespace().nth(2).map(str::to_string))
-            })
-            .unwrap_or_else(|| "(unreadable)".to_string());
-        let _ = std::fs::remove_file(&tomb);
+        };
         self.log("stolen", label, &format!("from {prev_owner}"));
         // The slot is free now, but a third worker may legitimately take
         // it first — stealing guarantees progress, not that *we* win.
-        match std::fs::OpenOptions::new()
-            .write(true)
-            .create_new(true)
-            .open(&path)
-        {
-            Ok(mut file) => {
-                let body = format!("lease {key:016x} {}\n", self.config.owner);
-                let sum = fnv1a_64(body.as_bytes());
-                let _ = file.write_all(format!("{body}sum {sum:016x}\n").as_bytes());
-                let _ = file.sync_data();
-                self.held.lock().expect("held lock").insert(key);
-                self.log("claimed", label, "post-steal");
-                true
+        if self.create_lease(key).is_err() {
+            return false;
+        }
+        self.log("claimed", label, "post-steal");
+        true
+    }
+
+    /// Reaps `key`'s lease if it is stale, logging `reaped`; returns the
+    /// owner of a live lease.
+    fn reap(&self, key: u64, label: &str) -> Option<String> {
+        match reap_stale_lease(&self.config.dir, key, self.config.ttl, &self.config.owner) {
+            LeaseCheck::Gone => None,
+            LeaseCheck::Reaped(owner) => {
+                self.log("reaped", label, &format!("from {owner}"));
+                None
             }
-            Err(_) => false,
+            LeaseCheck::Live(owner) => Some(owner),
+        }
+    }
+
+    /// Whether any worker has published a sidecar for `key`.
+    fn published(&self, key: u64) -> bool {
+        let prefix = format!("cell-{key:016x}-");
+        std::fs::read_dir(self.config.dir.join("cells")).is_ok_and(|entries| {
+            entries.flatten().any(|e| {
+                let name = e.file_name();
+                let name = name.to_string_lossy();
+                name.starts_with(&prefix) && name.ends_with(".ckpt")
+            })
+        })
+    }
+
+    /// End-of-run sweep: reaps every lease left on a published cell. A
+    /// peer killed between publish and release leaves a lease whose
+    /// heartbeat is still fresh, so the sweep waits up to about one TTL
+    /// for each such lease to be released or go stale. A lease that is
+    /// still live at the deadline is logged as `leaked` and left alone.
+    pub(crate) fn sweep_leases(&self) {
+        let deadline = Instant::now() + self.config.ttl + 2 * self.config.heartbeat;
+        loop {
+            let live: Vec<(u64, String)> = lease_keys(&self.config.dir)
+                .into_iter()
+                .filter(|&key| self.published(key))
+                .filter_map(|key| {
+                    let owner = self.reap(key, &format!("{key:016x}"))?;
+                    Some((key, owner))
+                })
+                .collect();
+            if live.is_empty() {
+                return;
+            }
+            if Instant::now() >= deadline {
+                for (key, owner) in live {
+                    self.log(
+                        "leaked",
+                        &format!("{key:016x}"),
+                        &format!("held by {owner}"),
+                    );
+                    eprintln!(
+                        "warning: worker {} leaves the live lease of published cell \
+                         {key:016x} (held by {owner})",
+                        self.config.owner
+                    );
+                }
+                return;
+            }
+            std::thread::sleep(self.config.heartbeat);
         }
     }
 
@@ -594,15 +707,15 @@ impl ShardState {
     pub fn release(&self, key: u64) {
         self.held.lock().expect("held lock").remove(&key);
         let path = self.lease_path(key);
-        let ours = std::fs::read_to_string(&path).is_ok_and(|text| {
-            text.lines()
-                .next()
-                .and_then(|l| l.split_whitespace().nth(2))
-                == Some(self.config.owner.as_str())
-        });
-        if ours {
+        if self.owns(&path) {
             let _ = std::fs::remove_file(&path);
         }
+    }
+
+    /// Whether the lease at `path` names this worker as its owner.
+    fn owns(&self, path: &Path) -> bool {
+        std::fs::read_to_string(path)
+            .is_ok_and(|text| lease_owner(&text) == Some(self.config.owner.as_str()))
     }
 
     /// Releases every held lease (drain hook / end-of-run cleanup).
@@ -651,13 +764,7 @@ impl ShardState {
             .collect();
         for key in keys {
             let path = self.lease_path(key);
-            let ours = std::fs::read_to_string(&path).is_ok_and(|text| {
-                text.lines()
-                    .next()
-                    .and_then(|l| l.split_whitespace().nth(2))
-                    == Some(self.config.owner.as_str())
-            });
-            if !ours {
+            if !self.owns(&path) {
                 // Stolen out from under us: stop renewing (and never
                 // unlink — it belongs to the thief now).
                 self.held.lock().expect("held lock").remove(&key);
@@ -864,7 +971,6 @@ pub fn run_worker(
             let mut ctx = RunContext::new(&artifacts, &config, scale);
             ctx.shard = Some(Arc::clone(&state));
             ctx.fleet = parsed.cli.fleet;
-            ctx.precision = parsed.cli.precision;
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| exp.run(&ctx)));
             match outcome {
                 Ok(_) => eprintln!(
@@ -892,6 +998,7 @@ pub fn run_worker(
         }
     }
     state.release_all();
+    state.sweep_leases();
     eprintln!("[shard] worker {} done: {}", parsed.worker, state.summary());
     Ok(())
 }
@@ -1044,6 +1151,90 @@ mod tests {
             .join("leases")
             .join(format!("cell-{:016x}.lease", 11))
             .exists());
+    }
+
+    /// The crash window between publish and release: worker A publishes a
+    /// cell and dies still holding its lease. Nobody will ever claim a
+    /// published cell again, so the lease must be reaped once stale —
+    /// when a peer loads the cell, or by the peer's end-of-run sweep —
+    /// while a live owner's fresh lease is never touched.
+    #[test]
+    fn leaked_lease_of_published_cell_is_reaped_live_one_is_not() {
+        let dir = temp("repro-shard-leaked-lease");
+        // Far above the live owner's 20 ms heartbeat, so scheduling
+        // jitter cannot age its lease past the TTL.
+        let ttl = Duration::from_millis(250);
+        let lease = |key: u64| dir.join("leases").join(format!("cell-{key:016x}.lease"));
+        // Backdates a lease's heartbeat past the TTL.
+        let age = |key: u64| {
+            let file = std::fs::OpenOptions::new()
+                .write(true)
+                .open(lease(key))
+                .unwrap();
+            file.set_modified(std::time::SystemTime::now() - 2 * ttl)
+                .unwrap();
+        };
+        let a = state(&dir, "wa", DEFAULT_TTL);
+        for key in [41, 42] {
+            assert!(a.try_acquire(key, "crashed"));
+            a.publish(key, "crashed", 4, &records(4)).unwrap();
+        }
+        drop(a); // killed: no release, no more heartbeats
+        assert!(lease(41).exists() && lease(42).exists());
+
+        // A live owner that also sits between publish and release.
+        let mut config = ShardConfig::new(&dir, "wlive");
+        config.heartbeat = Duration::from_millis(20);
+        let live = Arc::new(ShardState::open(config, &header()).unwrap());
+        assert!(live.try_acquire(43, "live"));
+        live.publish(43, "live", 4, &records(4)).unwrap();
+        let _heartbeat = live.spawn_heartbeat();
+
+        let b = state(&dir, "wb", ttl);
+        // Loading a published cell whose lease is still fresh reaps
+        // nothing: the owner may be about to release it.
+        let got = b.run_cell(41, "cell-41", 4, || unreachable!("published"));
+        assert_eq!(got, records(4));
+        assert!(lease(41).exists());
+        assert_eq!(b.event_count("reaped"), 0);
+        // Once stale, loading the cell reaps its lease.
+        age(41);
+        b.run_cell(41, "cell-41", 4, || unreachable!("published"));
+        assert!(!lease(41).exists());
+        assert_eq!(b.event_count("reaped"), 1);
+
+        // The end-of-run sweep reaps the other stale lease and waits out
+        // the live one without touching it.
+        age(42);
+        b.sweep_leases();
+        assert!(!lease(42).exists(), "sweep reaps the leaked lease");
+        assert_eq!(b.event_count("reaped"), 2);
+        assert!(lease(43).exists(), "a live owner's lease is never reaped");
+        assert_eq!(b.event_count("leaked"), 1);
+        assert_eq!(live.held_count(), 1);
+        live.release(43);
+        assert!(!lease(43).exists());
+    }
+
+    /// The sweep waits for a freshly leaked lease to go stale instead of
+    /// leaving it behind: a worker that finishes right after a peer died
+    /// between publish and release still cleans up.
+    #[test]
+    fn sweep_waits_for_a_fresh_leaked_lease_to_go_stale() {
+        let dir = temp("repro-shard-sweep-wait");
+        let ttl = Duration::from_millis(100);
+        let a = state(&dir, "wa", ttl);
+        assert!(a.try_acquire(51, "crashed"));
+        a.publish(51, "crashed", 4, &records(4)).unwrap();
+        drop(a);
+        let b = state(&dir, "wb", ttl);
+        b.sweep_leases();
+        assert!(!dir
+            .join("leases")
+            .join(format!("cell-{:016x}.lease", 51))
+            .exists());
+        assert_eq!(b.event_count("reaped"), 1);
+        assert_eq!(b.event_count("leaked"), 0);
     }
 
     #[test]

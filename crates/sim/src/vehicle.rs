@@ -159,9 +159,8 @@ impl Vehicle {
     /// Applies the Eq. (1) first-order actuation retain to a variation
     /// command and returns the resulting steering angle `delta` (radians).
     ///
-    /// This is the control half of [`Vehicle::step`], split out so the
-    /// batched integrator in [`crate::batch`] shares the exact smoothing
-    /// arithmetic (clamp order included) with the serial path.
+    /// This is the control half of [`Vehicle::step`]: the smoothing
+    /// arithmetic (clamp order included) lives here and nowhere else.
     pub(crate) fn apply_variation(&mut self, variation: Actuation) -> f64 {
         let p = self.params.clone();
         let eps = p.eps_mech;
