@@ -8,14 +8,12 @@
 //! shaped reward (Section III-C) and by the trajectory-deviation metric of
 //! Fig. 5 / Fig. 7.
 
-use drive_sim::geometry::Vec2;
 use drive_sim::road::Road;
 use drive_sim::waypoints::{lane_change_path_into, lane_keep_path_into, Path};
 use drive_sim::world::World;
-use serde::{Deserialize, Serialize};
 
 /// Tunables of the behaviour layer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BehaviorConfig {
     /// Reference cruise speed, m/s.
     pub ref_speed: f64,
@@ -49,7 +47,7 @@ impl Default for BehaviorConfig {
 }
 
 /// The maneuver currently being executed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Maneuver {
     /// Keeping the target lane.
     KeepLane,
@@ -81,13 +79,12 @@ struct ChangeCache {
 ///
 /// One instance per episode; call [`BehaviorPlanner::plan`] every control
 /// step to obtain the current local waypoint path.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BehaviorPlanner {
     config: BehaviorConfig,
     target_lane: usize,
     maneuver: Maneuver,
     /// Not part of the logical planner state (pure memoization).
-    #[serde(skip, default)]
     change_cache: ChangeCache,
 }
 
@@ -424,25 +421,6 @@ impl BehaviorPlanner {
         }
         desired
     }
-
-    /// Reference point used by deviation metrics: the lateral center of the
-    /// current plan at the ego's longitudinal position.
-    pub fn reference_point(&self, world: &World) -> Vec2 {
-        let path = self.clone().plan_readonly(world);
-        let proj = path.project(world.ego().pose.position, world.ego().pose.heading);
-        let wp = path.waypoints()[proj.index];
-        wp.position
-    }
-
-    /// A plan that does not mutate decision state (for metrics).
-    fn plan_readonly(mut self, world: &World) -> Path {
-        self.plan(world)
-    }
-}
-
-/// Convenience: which lane index is leftmost for a road.
-pub fn leftmost_lane(road: &Road) -> usize {
-    road.num_lanes - 1
 }
 
 #[cfg(test)]

@@ -91,10 +91,7 @@ impl Env for DrivingEnv {
         self.world = World::new(episode);
         self.extractor.reset();
         self.shaper.reset(&self.world);
-        self.record = EpisodeRecord {
-            dt: self.world.scenario().dt,
-            ..EpisodeRecord::default()
-        };
+        self.record = EpisodeRecord::start(&self.world);
         self.extractor.observe(&self.world)
     }
 
@@ -112,18 +109,9 @@ impl Env for DrivingEnv {
         let outcome = self.world.step(actuation);
         let reward = self.shaper.step(&self.world, &outcome) as f32;
 
-        self.record.steps += 1;
+        self.record.push_step(&outcome, delta);
         self.record.nominal_return += reward as f64;
         self.record.deviation.push(self.shaper.last_deviation());
-        self.record.perturbation.push(delta.abs());
-        if delta.abs() > drive_sim::record::ATTACK_START_THRESHOLD
-            && self.record.attack_start.is_none()
-        {
-            self.record.attack_start = Some(outcome.step);
-        }
-        self.record.passed = outcome.passed;
-        self.record.collision = outcome.collision;
-        self.record.termination = outcome.termination;
 
         let done = matches!(
             outcome.termination,

@@ -12,10 +12,9 @@
 
 use crate::pid::{Pid, PidConfig};
 use drive_sim::vehicle::Actuation;
-use serde::{Deserialize, Serialize};
 
 /// Gains and targets for the [`SafetyController`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SafetyConfig {
     /// PID on the normalized lateral lane offset (feature frame index 0).
     pub steer_pid: PidConfig,
@@ -55,7 +54,7 @@ impl Default for SafetyConfig {
 /// Stateful (PID memory), so the serving layer keeps one per worker and
 /// calls [`SafetyController::reset`] when the ladder re-engages it after
 /// a stretch of full-pipeline operation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SafetyController {
     config: SafetyConfig,
     steer: Pid,

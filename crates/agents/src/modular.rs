@@ -12,10 +12,9 @@ use crate::Agent;
 use drive_sim::geometry::angle_diff;
 use drive_sim::vehicle::Actuation;
 use drive_sim::world::World;
-use serde::{Deserialize, Serialize};
 
 /// Tunables of the modular agent's controllers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModularConfig {
     /// Behaviour-layer configuration.
     pub behavior: BehaviorConfig,
@@ -51,7 +50,7 @@ impl Default for ModularConfig {
 }
 
 /// The modular pipeline agent.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ModularAgent {
     config: ModularConfig,
     planner: BehaviorPlanner,
@@ -60,7 +59,6 @@ pub struct ModularAgent {
     /// Signed cross-track error of the last step, meters (for metrics).
     last_cross_track: f64,
     /// Reused plan buffer; not part of the logical agent state.
-    #[serde(skip, default)]
     plan_scratch: drive_sim::waypoints::Path,
 }
 

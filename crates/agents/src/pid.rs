@@ -2,10 +2,8 @@
 //! anti-windup, as used by the modular driving pipeline's longitudinal and
 //! lateral control (Section III-B of the paper).
 
-use serde::{Deserialize, Serialize};
-
 /// PID gains and limits.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PidConfig {
     /// Proportional gain.
     pub kp: f64,
@@ -33,7 +31,7 @@ impl PidConfig {
 }
 
 /// A discrete PID controller.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Pid {
     config: PidConfig,
     integral: f64,

@@ -8,10 +8,9 @@
 
 use crate::behavior::{BehaviorConfig, BehaviorPlanner};
 use drive_sim::world::{StepOutcome, Termination, World};
-use serde::{Deserialize, Serialize};
 
 /// Weights of the shaped reward.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RewardConfig {
     /// Weight of the progress term `v . w_hat / v_ref`.
     pub w_progress: f64,
@@ -36,14 +35,13 @@ impl Default for RewardConfig {
 
 /// Stateful reward computer: owns a privileged behaviour planner that
 /// provides the safe reference path.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RewardShaper {
     config: RewardConfig,
     planner: BehaviorPlanner,
     /// Normalized cross-track deviation of the last step (for records).
     last_deviation: f64,
     /// Reused plan buffer; not part of the logical shaper state.
-    #[serde(skip, default)]
     plan_scratch: drive_sim::waypoints::Path,
 }
 

@@ -73,10 +73,7 @@ pub fn run_episode_with_faults(
     );
     shaper.reset(&world);
 
-    let mut record = EpisodeRecord {
-        dt: world.scenario().dt,
-        ..EpisodeRecord::default()
-    };
+    let mut record = EpisodeRecord::start(&world);
 
     while !world.is_done() {
         let nominal = agent.act(&world);
@@ -95,17 +92,9 @@ pub fn run_episode_with_faults(
         let outcome = world.step(realized);
         let reward = shaper.step(&world, &outcome);
 
-        record.steps += 1;
+        record.push_step(&outcome, delta);
         record.nominal_return += reward;
         record.deviation.push(shaper.last_deviation());
-        record.perturbation.push(delta.abs());
-        if delta.abs() > drive_sim::record::ATTACK_START_THRESHOLD && record.attack_start.is_none()
-        {
-            record.attack_start = Some(outcome.step);
-        }
-        record.passed = outcome.passed;
-        record.collision = outcome.collision;
-        record.termination = outcome.termination;
         on_step(&world, &outcome, delta);
     }
     record.nonfinite_actions = world.nonfinite_action_count();

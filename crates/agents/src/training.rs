@@ -24,11 +24,10 @@ use drive_sim::sensors::{FeatureConfig, FeatureExtractor};
 use drive_sim::world::World;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 
 /// Configuration of the victim training pipeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VictimTrainConfig {
     /// Demonstration episodes collected from the modular teacher.
     pub demo_episodes: usize,

@@ -1,4 +1,4 @@
-//! Registry-dispatched command line shared by every bench binary.
+//! Registry-dispatched command line of the `repro_bench` binary.
 //!
 //! All experiment logic lives behind the [`Experiment`](crate::Experiment)
 //! trait; this module only parses arguments, selects experiments from the
@@ -41,7 +41,7 @@ use crate::perf::{PerfReport, ThroughputProbe};
 use attack_core::pipeline::{prepare, PipelineConfig};
 use std::path::{Path, PathBuf};
 
-/// Parsed command line for the bench binaries.
+/// Parsed command line for `repro_bench`.
 #[derive(Debug, Clone, Default)]
 pub struct CliArgs {
     /// Experiment names to run, in order.
@@ -487,7 +487,7 @@ pub fn run(args: &CliArgs) -> Result<(), CliError> {
         let outcome = match executed {
             Ok(result) => result?,
             Err(payload) => {
-                if payload.is::<drive_core::shutdown::ShutdownRequested>() {
+                if payload.is::<crate::shutdown::ShutdownRequested>() {
                     return Err(CliError::Interrupted(resume_hint));
                 }
                 std::panic::resume_unwind(payload);
@@ -508,32 +508,12 @@ pub fn run(args: &CliArgs) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Entry point for the per-figure binaries: parse the environment, default
-/// to `default_name` when nothing is selected, run, and map errors to exit
-/// codes.
-pub fn main_for(default_name: &str) -> i32 {
-    drive_core::shutdown::install();
-    match CliArgs::from_env() {
-        Ok(mut args) => {
-            if !args.selects_anything() {
-                if default_name == "all" {
-                    args.all = true;
-                } else {
-                    args.names.push(default_name.to_string());
-                }
-            }
-            dispatch(&args)
-        }
-        Err(e) => report_error(&e),
-    }
-}
-
 /// Entry point for the `repro_bench` multiplexer binary: with no selection
 /// at all, print usage plus the registry and exit 2. The `serve` and
 /// `loadgen` subcommands (the policy-serving layer) have their own flag
 /// surface and dispatch to [`crate::servecli`] before experiment parsing.
 pub fn main_from_env() -> i32 {
-    drive_core::shutdown::install();
+    crate::shutdown::install();
     let raw: Vec<String> = std::env::args().skip(1).collect();
     match raw.first().map(String::as_str) {
         Some("serve") => return crate::servecli::main(crate::servecli::ServeMode::Sim, &raw[1..]),
@@ -553,15 +533,11 @@ pub fn main_from_env() -> i32 {
                 eprint!("{}", Registry::list(Registry::all()));
                 return 2;
             }
-            dispatch(&args)
+            match run(&args) {
+                Ok(()) => 0,
+                Err(e) => report_error(&e),
+            }
         }
-        Err(e) => report_error(&e),
-    }
-}
-
-fn dispatch(args: &CliArgs) -> i32 {
-    match run(args) {
-        Ok(()) => 0,
         Err(e) => report_error(&e),
     }
 }
@@ -664,7 +640,7 @@ mod tests {
         assert_eq!(args.select().unwrap().len(), 5);
         let args = parse(&["--filter", "zzz"]);
         assert!(matches!(args.select(), Err(CliError::NoMatch(_))));
-        // Nothing selected: empty, so binaries can apply their default.
+        // Nothing selected: empty, so `repro_bench` prints its usage.
         let args = parse(&[]);
         assert!(args.select().unwrap().is_empty());
         assert!(!args.selects_anything());

@@ -9,8 +9,8 @@
 //! * [`Experiment`] — a named, self-describing unit of evaluation that
 //!   turns a [`RunContext`] into an [`ExperimentOutput`] (report text plus
 //!   CSV/SVG payloads).
-//! * [`Registry`] — the static table of all experiments; the CLI and every
-//!   binary dispatch through it (`--list`, `--filter`, `--all`), so adding
+//! * [`Registry`] — the static table of all experiments; the CLI dispatches
+//!   through it (`--list`, `--filter`, `--all`), so adding
 //!   an experiment is one module plus one registry line.
 //! * [`RunContext`] — everything a run needs, bundled: trained
 //!   [`Artifacts`], the [`Scale`], the hierarchical [`SeedTree`] all

@@ -293,8 +293,8 @@ pub fn attacked_records_in(
     // already journaled, so unwinding out here leaves a run the CLI can
     // `--resume` to a byte-identical finish. The sentinel payload is
     // caught by the top-level driver, never by the episode retry layer.
-    if drive_core::shutdown::requested() {
-        std::panic::panic_any(drive_core::shutdown::ShutdownRequested);
+    if crate::shutdown::requested() {
+        std::panic::panic_any(crate::shutdown::ShutdownRequested);
     }
     let (records, clean) = compute_cell(
         kind,
@@ -367,7 +367,7 @@ fn compute_cell(
             Err(payload) => {
                 // The graceful-shutdown sentinel must reach the top-level
                 // driver, not the serial fallback.
-                if payload.is::<drive_core::shutdown::ShutdownRequested>() {
+                if payload.is::<crate::shutdown::ShutdownRequested>() {
                     std::panic::resume_unwind(payload);
                 }
                 eprintln!("warning: fleet cell {cell_label} panicked; retrying on the serial path");

@@ -5,8 +5,8 @@
 //! Each module of [`experiments`] regenerates one figure (or the baseline /
 //! ablations) from the trained [`attack_core::pipeline::Artifacts`]. All of
 //! them implement the [`engine::Experiment`] trait and register in
-//! [`engine::Registry`]; the CLI ([`cli`]) and every binary in `src/bin/`
-//! dispatch through the registry, and [`engine::execute`] emits a
+//! [`engine::Registry`]; the `repro_bench` binary's CLI ([`cli`])
+//! dispatches through the registry, and [`engine::execute`] emits a
 //! [`manifest::Manifest`] next to each run's CSVs. The `figures` bench
 //! target runs the same engine at smoke scale under `cargo bench`;
 //! criterion micro-benches of the substrate live in the `perf` bench
@@ -25,8 +25,10 @@ pub mod manifest;
 pub mod merge;
 pub mod perf;
 pub mod resilience;
+pub mod retry;
 pub mod servecli;
 pub mod shard;
+pub mod shutdown;
 
 pub use benchcmp::{compare_files, BenchDelta, BenchStatus, Comparison};
 pub use engine::{execute, EngineRun, Experiment, ExperimentOutput, Registry, RunContext};

@@ -6,12 +6,12 @@
 //! backpressure: when a tick fires and every client is busy, a new client
 //! is spawned (up to a cap) instead of the tick queueing behind in-flight
 //! work. Clients retry backpressure sheds through
-//! [`drive_core::retry`] with jittered exponential backoff, tally every
+//! [`crate::retry`] with jittered exponential backoff, tally every
 //! attempt, and the run ends with a three-way reconciliation: the
 //! server's own counters, the summed per-attempt client tallies, and the
 //! logical (post-retry) accounting must all balance.
 
-use drive_core::retry::{self, Attempt, Exhausted, RetryPolicy};
+use crate::retry::{self, Attempt, Exhausted, RetryPolicy};
 use drive_metrics::histo::LatencyHistogram;
 use drive_nn::gaussian::GaussianPolicy;
 use drive_serve::config::ServeConfig;

@@ -11,7 +11,7 @@
 //! [`CellOutcome::to_csv`] can export with a per-episode status column so a
 //! partial run is still analyzable.
 
-use drive_core::retry::{self, Attempt, Exhausted, RetryPolicy};
+use crate::retry::{self, Attempt, Exhausted, RetryPolicy};
 use drive_metrics::export::Csv;
 use drive_sim::record::EpisodeRecord;
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -12,7 +12,7 @@
 //! Both accept the same serving/fault/attack shape flags; see `--help`.
 
 use crate::loadgen::{self, LoadgenConfig};
-use drive_core::retry::RetryPolicy;
+use crate::retry::RetryPolicy;
 use drive_nn::gaussian::GaussianPolicy;
 use drive_serve::config::ServeConfig;
 use drive_serve::faults::{FaultPlan, FaultPlanConfig};

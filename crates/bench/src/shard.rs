@@ -50,15 +50,15 @@
 //! waits up to about one TTL for such leases to go stale), and in the
 //! merge, which reports any leftovers by owner.
 //!
-//! A polite SIGTERM latches [`drive_core::shutdown`]; the worker unwinds
+//! A polite SIGTERM latches [`crate::shutdown`]; the worker unwinds
 //! at the next cell boundary and a registered drain hook releases every
 //! held lease so peers do not wait out the TTL.
 
 use crate::cli::{CliArgs, CliError};
 use crate::engine::{Experiment, RunContext};
 use crate::journal::{encode_frame, scan_frames, RunHeader, MAGIC};
-use drive_core::retry::RetryPolicy;
-use drive_core::shutdown;
+use crate::retry::RetryPolicy;
+use crate::shutdown;
 use drive_metrics::progress::WorkerProgress;
 use drive_seed::fnv1a_64;
 use drive_sim::record::{decode_records, encode_records, EpisodeRecord};

@@ -4,8 +4,9 @@
 //!
 //! The subprocess test drives the real binary (`CARGO_BIN_EXE_repro_bench`)
 //! against pre-trained quick artifacts, kills it mid-flight at three or
-//! more randomized points, resumes each time, and compares every CSV/SVG
-//! and manifest output list against a golden un-journaled run. The
+//! more randomized points of its journaled progress, resumes each time,
+//! and compares every CSV/SVG and manifest output list against a golden
+//! un-journaled run. The
 //! in-process tests exercise the engine-level skip and cell-replay paths
 //! directly.
 
@@ -18,7 +19,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One quick-trained artifact cache shared by every test in this file and
 /// by every subprocess (they load it instead of retraining).
@@ -56,6 +57,18 @@ fn run_cmd(run_dir: &Path, resume: bool) -> Command {
     cmd.env_remove("REPRO_SCALE");
     cmd.stdout(Stdio::null()).stderr(Stdio::null());
     cmd
+}
+
+/// Complete data rows in a run's `journal/progress.csv`: the header and a
+/// torn final row (no newline yet) do not count; 0 before the file exists.
+fn progress_rows(run_dir: &Path) -> usize {
+    fs::read(run_dir.join("journal").join("progress.csv")).map_or(0, |bytes| {
+        bytes
+            .iter()
+            .filter(|&&b| b == b'\n')
+            .count()
+            .saturating_sub(1)
+    })
 }
 
 /// Compares two finished run directories: the same set of CSV/SVG files
@@ -106,9 +119,11 @@ fn killed_and_resumed_run_matches_golden_byte_for_byte() {
     assert!(status.success(), "clean journaled run failed: {status}");
     assert_outputs_match(&golden, &clean);
 
-    // Kill loop: SIGKILL the run at randomized delays, resuming each
-    // time. Delays are capped well below the remaining work, so the first
-    // three attempts are guaranteed to be genuine mid-flight kills.
+    // Kill loop: SIGKILL the run once its journal has gained an
+    // LCG-chosen 1..=40 progress rows since the spawn, resuming each time.
+    // Kills follow the run's own progress, not wall-clock delays, so they
+    // land mid-flight on a host of any speed: three kills advance the run
+    // by at most 120 of its ~560 rows.
     let killed = out_dir("killed");
     let mut kills = 0;
     let mut attempts = 0;
@@ -119,13 +134,27 @@ fn killed_and_resumed_run_matches_golden_byte_for_byte() {
             attempts <= 12,
             "needed more than 12 attempts to land 3 kills"
         );
+        let rows_at_spawn = progress_rows(&killed);
         let mut child = run_cmd(&killed, attempts > 1).spawn().expect("spawn");
         lcg = lcg
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
-        let delay = 150 + (lcg >> 33) % 600; // 150..750 ms
-        std::thread::sleep(Duration::from_millis(delay));
-        match child.try_wait().expect("try_wait") {
+        let gain = 1 + ((lcg >> 33) % 40) as usize;
+        let deadline = Instant::now() + Duration::from_secs(300);
+        let finished = loop {
+            if let Some(status) = child.try_wait().expect("try_wait") {
+                break Some(status);
+            }
+            if progress_rows(&killed) >= rows_at_spawn + gain {
+                break None;
+            }
+            if Instant::now() > deadline {
+                let _ = child.kill();
+                panic!("attempt {attempts} gained fewer than {gain} progress rows in 300s");
+            }
+            std::thread::sleep(Duration::from_millis(2));
+        };
+        match finished {
             None => {
                 child.kill().expect("SIGKILL");
                 child.wait().expect("reap");
@@ -137,7 +166,8 @@ fn killed_and_resumed_run_matches_golden_byte_for_byte() {
                 assert!(status.success(), "early completion failed: {status}");
                 assert!(
                     kills >= 3,
-                    "run completed after {delay}ms on attempt {attempts} with only {kills} kill(s)"
+                    "run completed on attempt {attempts} before gaining {gain} \
+                     progress rows, with only {kills} kill(s)"
                 );
             }
         }

@@ -17,10 +17,9 @@
 //! `p_se = -(delta - delta_teacher)^2` (Section IV-E).
 
 use drive_sim::world::{CollisionKind, RelativeGeometry, StepOutcome, World};
-use serde::{Deserialize, Serialize};
 
 /// Weights of the adversarial reward.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdvRewardConfig {
     /// Magnitude `a` of the terminal collision reward/penalty.
     pub collision_reward: f64,
@@ -47,7 +46,7 @@ impl Default for AdvRewardConfig {
 }
 
 /// Stateless adversarial reward computer.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct AdvReward {
     /// Configuration in use.
     pub config: AdvRewardConfig,

@@ -107,11 +107,6 @@ impl AttackEnv {
         self.teacher = teacher;
     }
 
-    /// Changes the attack budget (applies from the next step).
-    pub fn set_budget(&mut self, budget: AttackBudget) {
-        self.budget = budget;
-    }
-
     /// The record of the episode in progress (or just finished), with the
     /// cumulative adversarial reward filled in.
     pub fn record(&self) -> EpisodeRecord {
@@ -144,10 +139,7 @@ impl Env for AttackEnv {
         if let Some(t) = self.teacher.as_mut() {
             t.reset(&self.world);
         }
-        self.record = EpisodeRecord {
-            dt: self.world.scenario().dt,
-            ..EpisodeRecord::default()
-        };
+        self.record = EpisodeRecord::start(&self.world);
         self.adv_return = 0.0;
         self.sensor.observe(&self.world)
     }
@@ -175,16 +167,7 @@ impl Env for AttackEnv {
         };
         self.adv_return += reward;
 
-        self.record.steps += 1;
-        self.record.perturbation.push(delta.abs());
-        if delta.abs() > drive_sim::record::ATTACK_START_THRESHOLD
-            && self.record.attack_start.is_none()
-        {
-            self.record.attack_start = Some(outcome.step);
-        }
-        self.record.passed = outcome.passed;
-        self.record.collision = outcome.collision;
-        self.record.termination = outcome.termination;
+        self.record.push_step(&outcome, delta);
 
         if let Some(t) = self.teacher.as_mut() {
             t.after_step(&self.world);

@@ -5,10 +5,8 @@
 //! sweeps budgets from 0 (no attack) up to 1.2 (beyond the mechanical
 //! variation limit — excess is absorbed by the simulator's clamp).
 
-use serde::{Deserialize, Serialize};
-
 /// A non-negative attack budget.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct AttackBudget(f64);
 
 impl AttackBudget {

@@ -33,10 +33,9 @@ use drive_sim::scenario::Scenario;
 use drive_sim::sensors::FeatureConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of adversarial training (both defenses).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DefenseTrainConfig {
     /// Share of nominal (zero-budget) episodes, `rho` (e.g. `1/11`, `1/2`).
     pub rho: f64,

@@ -30,11 +30,10 @@ use drive_sim::vehicle::Actuation;
 use drive_sim::world::World;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Configuration of the residual-based perturbation detector.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DetectorConfig {
     /// The Eq. (1) steering retain rate `alpha` (must match the plant).
     pub alpha: f64,

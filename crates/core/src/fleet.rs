@@ -32,7 +32,7 @@ use drive_nn::batch::BatchPolicy;
 use drive_nn::gaussian::GaussianPolicy;
 use drive_nn::scratch::BatchActScratch;
 use drive_sim::batch::WorldBatch;
-use drive_sim::record::{EpisodeRecord, ATTACK_START_THRESHOLD};
+use drive_sim::record::EpisodeRecord;
 use drive_sim::scenario::Scenario;
 use drive_sim::sensors::{FeatureConfig, FeatureExtractor, ImuConfig};
 use drive_sim::vehicle::Actuation;
@@ -109,10 +109,7 @@ impl<'a> FleetEval<'a> {
             world.scenario().road.lane_of(world.ego().pose.position.y),
         );
         shaper.reset(&world);
-        let record = EpisodeRecord {
-            dt: world.scenario().dt,
-            ..EpisodeRecord::default()
-        };
+        let record = EpisodeRecord::start(&world);
         (
             world,
             Slot {
@@ -234,21 +231,14 @@ impl<'a> FleetEval<'a> {
             }
             wb.step(&actions, &mut outcomes);
 
-            // Per-slot record bookkeeping, verbatim from the serial runner.
+            // Per-slot record bookkeeping, in the serial runner's order.
             for (i, slot) in slots.iter_mut().enumerate() {
                 let world = &wb.worlds()[i];
                 let outcome = &outcomes[i];
                 let reward = slot.shaper.step(world, outcome);
-                slot.record.steps += 1;
+                slot.record.push_step(outcome, slot.delta);
                 slot.record.nominal_return += reward;
                 slot.record.deviation.push(slot.shaper.last_deviation());
-                slot.record.perturbation.push(slot.delta.abs());
-                if slot.delta.abs() > ATTACK_START_THRESHOLD && slot.record.attack_start.is_none() {
-                    slot.record.attack_start = Some(outcome.step);
-                }
-                slot.record.passed = outcome.passed;
-                slot.record.collision = outcome.collision;
-                slot.record.termination = outcome.termination;
                 slot.adv_return += self.adv.step(world, outcome, slot.delta);
             }
 

@@ -14,10 +14,9 @@ use crate::adv_reward::{AdvReward, AdvRewardConfig};
 use crate::budget::AttackBudget;
 use drive_agents::runner::SteerAttacker;
 use drive_sim::world::{RelativeGeometry, World};
-use serde::{Deserialize, Serialize};
 
 /// The geometric oracle attack policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OracleAttacker {
     /// Budget scaling the injected perturbation.
     pub budget: AttackBudget,

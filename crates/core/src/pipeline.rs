@@ -19,7 +19,6 @@ use drive_nn::gaussian::GaussianPolicy;
 use drive_nn::pnn::PnnPolicy;
 use drive_sim::scenario::Scenario;
 use drive_sim::sensors::{FeatureConfig, ImuConfig};
-use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 
 /// Every trainable of the paper, ready for evaluation.
@@ -40,7 +39,7 @@ pub struct Artifacts {
 }
 
 /// Configuration of the full pipeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelineConfig {
     /// Directory for cached checkpoints.
     pub dir: PathBuf,

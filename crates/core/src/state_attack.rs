@@ -23,10 +23,9 @@ use drive_sim::vehicle::Actuation;
 use drive_sim::world::{RelativeGeometry, World};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the gradient-based state attack.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StateAttackConfig {
     /// L∞ radius of the observation perturbation.
     pub epsilon: f32,

@@ -29,13 +29,12 @@ use drive_sim::vehicle::Actuation;
 use drive_sim::world::World;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// A source of fresh victim agents (one per training/eval context).
 pub type VictimBuilder<'a> = &'a dyn Fn() -> Box<dyn Agent>;
 
 /// Configuration of attacker training.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttackTrainConfig {
     /// Demonstration episodes (oracle for camera, camera for IMU).
     pub bc_episodes: usize,

@@ -1,11 +1,9 @@
 //! Scalar aggregation: five-number summaries (box plots), means, standard
 //! deviations.
 
-use serde::{Deserialize, Serialize};
-
 /// Five-number summary plus mean — the contents of one box in the paper's
 /// box plots (Fig. 4, Fig. 6).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoxStats {
     /// Smallest sample.
     pub min: f64,

@@ -3,10 +3,9 @@
 
 use crate::agg::{mean, BoxStats};
 use drive_sim::record::EpisodeRecord;
-use serde::{Deserialize, Serialize};
 
 /// Summary of a batch of episodes under one (agent, attacker, budget) cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellSummary {
     /// Box statistics of the nominal driving reward (Fig. 4a / Fig. 6).
     pub nominal: BoxStats,
@@ -62,7 +61,7 @@ impl CellSummary {
 
 /// One scatter point of Fig. 5 / Fig. 7: an episode's mean attack effort
 /// against its trajectory-deviation RMSE, marked by attack success.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScatterPoint {
     /// Mean attack effort (x-axis).
     pub effort: f64,

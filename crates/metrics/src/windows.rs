@@ -5,10 +5,9 @@
 //! bin and agent.
 
 use crate::episode::ScatterPoint;
-use serde::{Deserialize, Serialize};
 
 /// One effort window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EffortWindow {
     /// Inclusive lower edge.
     pub lo: f64,

@@ -1,10 +1,9 @@
 //! Element-wise activation functions.
 
 use crate::mat::Mat;
-use serde::{Deserialize, Serialize};
 
 /// The activation functions used by the policy and critic networks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Activation {
     /// Rectified linear unit.
     Relu,

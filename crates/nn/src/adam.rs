@@ -1,9 +1,7 @@
 //! Adam optimizer operating over `visit_params`-style parameter slices.
 
-use serde::{Deserialize, Serialize};
-
 /// Hyper-parameters for [`Adam`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdamConfig {
     /// Learning rate.
     pub lr: f32,
@@ -33,7 +31,7 @@ impl Default for AdamConfig {
 ///
 /// The moment buffers are keyed by visit order, so the same optimizer must
 /// always be used with the same network (the slice sizes are checked).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Adam {
     /// Configuration.
     pub config: AdamConfig,

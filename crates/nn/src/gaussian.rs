@@ -13,7 +13,6 @@ use crate::mat::Mat;
 use crate::mlp::{Mlp, MlpCache};
 use crate::scratch::{ActScratch, BatchActScratch, SampleBackScratch};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Lower clamp on `log_std` (PyTorch-SAC convention).
 pub const LOG_STD_MIN: f32 = -5.0;
@@ -209,7 +208,7 @@ pub fn head_backward_into(
 }
 
 /// A stochastic policy `pi(a | s)` with a plain MLP trunk.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GaussianPolicy {
     trunk: Mlp,
     action_dim: usize,

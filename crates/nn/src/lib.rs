@@ -3,7 +3,7 @@
 //! # drive-nn — dense neural networks with manual backprop
 //!
 //! The learning substrate of this reproduction: a small, dependency-free
-//! (beyond `rand`/`serde`) neural-network library sized for the MLP policies
+//! (beyond `rand`) neural-network library sized for the MLP policies
 //! and critics of soft actor-critic training on CPU. It provides
 //!
 //! * [`mat::Mat`] — batched `f32` matrices,

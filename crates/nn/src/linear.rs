@@ -2,14 +2,13 @@
 
 use crate::mat::Mat;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A dense layer computing `y = x @ W^T + b`.
 ///
 /// Gradients accumulate into `grad_w` / `grad_b` across
 /// [`Linear::backward`] calls until [`Linear::zero_grad`] is called, matching
 /// the usual deep-learning training loop.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Linear {
     /// Weights, shape `(out, in)`.
     pub w: Mat,

@@ -4,11 +4,10 @@
 //! Only the operations the training stack needs are provided — this is not a
 //! general linear-algebra library.
 
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 
 /// Dense row-major matrix of `f32`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mat {
     rows: usize,
     cols: usize,

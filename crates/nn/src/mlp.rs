@@ -5,10 +5,9 @@ use crate::linear::Linear;
 use crate::mat::Mat;
 use crate::scratch::Scratch;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A feed-forward network: alternating [`Linear`] layers and activations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mlp {
     layers: Vec<Linear>,
     acts: Vec<Activation>,

@@ -23,10 +23,9 @@ use crate::mat::Mat;
 use crate::mlp::MlpCache;
 use crate::scratch::{ActScratch, Scratch};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// How to initialize the second column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PnnInit {
     /// Copy the base column's weights and zero the laterals: the PNN starts
     /// as an exact functional copy of the base policy.
@@ -36,7 +35,7 @@ pub enum PnnInit {
 }
 
 /// Two-column progressive policy with a tanh-Gaussian head on column 2.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PnnPolicy {
     base: GaussianPolicy,
     column: Vec<Linear>,

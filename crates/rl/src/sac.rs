@@ -15,10 +15,9 @@ use drive_nn::mat::Mat;
 use drive_nn::mlp::{Mlp, MlpCache};
 use drive_nn::scratch::{SampleBackScratch, Scratch};
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 /// SAC hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SacConfig {
     /// Discount factor.
     pub gamma: f32,
@@ -60,7 +59,7 @@ impl Default for SacConfig {
 }
 
 /// Diagnostic losses from one SAC update.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SacLosses {
     /// Mean squared Bellman error of critic 1.
     pub q1_loss: f32,

@@ -3,10 +3,8 @@
 //! bookkeeping every RL training loop needs without ever materializing the
 //! full return history.
 
-use serde::{Deserialize, Serialize};
-
 /// Welford's online mean/variance accumulator.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RunningStats {
     n: u64,
     mean: f64,
@@ -129,7 +127,7 @@ impl std::fmt::Display for RunningStats {
 }
 
 /// Exponential moving average with configurable smoothing.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Ema {
     alpha: f64,
     value: Option<f64>,

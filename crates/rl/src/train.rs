@@ -8,10 +8,9 @@ use crate::stats::RunningStats;
 use drive_seed::{fnv1a_64, SeedTree, StreamPos};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of [`train_sac`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainConfig {
     /// Total environment steps to collect.
     pub total_steps: usize,
@@ -50,7 +49,7 @@ impl Default for TrainConfig {
 }
 
 /// Summary statistics of a training run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TrainStats {
     /// Return of every completed episode, in order.
     pub episode_returns: Vec<f32>,
@@ -277,7 +276,7 @@ pub fn train_sac_resumable<E: Env + ?Sized>(
 }
 
 /// Evaluation summary over several deterministic episodes.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EvalStats {
     /// Per-episode returns.
     pub returns: Vec<f32>,

@@ -31,11 +31,10 @@ use crate::vehicle::Actuation;
 use crate::world::World;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// The kinds of benign fault the layer can inject.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// Camera frame freeze: observations repeat the last pre-fault frame.
     CameraFreeze,
@@ -59,7 +58,7 @@ pub enum FaultKind {
 }
 
 /// One injectable fault: what, how often, how long, how strong.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultSpec {
     /// Which fault.
     pub kind: FaultKind,
@@ -87,7 +86,7 @@ impl FaultSpec {
 /// A seeded set of fault specs — the full description of what can go
 /// wrong in an episode. Identical schedules (same seed, same specs)
 /// reproduce identical fault traces.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultSchedule {
     /// Base seed for the injector's private RNG stream.
     pub seed: u64,
@@ -139,7 +138,7 @@ impl FaultSchedule {
 }
 
 /// Counters describing what an injector actually did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultStats {
     /// Fault activations (a fault turning on counts once, however long
     /// it stays active).

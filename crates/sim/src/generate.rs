@@ -16,10 +16,9 @@ use crate::vehicle::VehicleParams;
 use drive_seed::SeedTree;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Which road layout to generate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TopologyKind {
     /// The paper's straight three-lane freeway.
     Straight,
@@ -48,7 +47,7 @@ impl TopologyKind {
 }
 
 /// Traffic density band: how many NPCs spawn and how tightly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TrafficDensity {
     /// 2–4 NPCs, wide gaps.
     Sparse,
@@ -97,7 +96,7 @@ impl TrafficDensity {
 }
 
 /// NPC cruise-speed mix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpeedMix {
     /// Uniformly slow traffic (the paper's 6 m/s band).
     Slow,
@@ -131,7 +130,7 @@ impl SpeedMix {
 }
 
 /// One point on the scenario axes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScenarioAxes {
     /// Road layout.
     pub topology: TopologyKind,
@@ -144,7 +143,7 @@ pub struct ScenarioAxes {
 }
 
 /// A generated scenario plus the fault schedule drawn alongside it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GeneratedScenario {
     /// The validated scenario under its generated name.
     pub spec: ScenarioSpec,

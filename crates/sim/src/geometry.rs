@@ -5,7 +5,6 @@
 //! intersection test. These are the building blocks of vehicle kinematics,
 //! collision detection, and sensor rendering.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
@@ -17,7 +16,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 /// assert_eq!(v.norm(), 5.0);
 /// assert_eq!(v.dot(Vec2::new(1.0, 0.0)), 3.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec2 {
     /// x component (longitudinal along the road by convention).
     pub x: f64,
@@ -190,7 +189,7 @@ pub fn angle_diff(a: f64, b: f64) -> f64 {
 }
 
 /// A position plus heading: the configuration of a rigid body in the plane.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Pose {
     /// World-frame position of the body origin, meters.
     pub position: Vec2,
@@ -233,7 +232,7 @@ impl Pose {
 /// An oriented bounding box: rectangle with arbitrary heading.
 ///
 /// Used as the collision footprint of every vehicle and road barrier.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Obb {
     /// Center of the box in world frame.
     pub center: Vec2,

@@ -9,11 +9,10 @@
 
 use crate::road::Road;
 use crate::vehicle::{Actuation, Vehicle};
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 
 /// Gains and limits of the NPC lane-keeping controller.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NpcControllerParams {
     /// Proportional gain on lateral offset, 1/m.
     pub k_lateral: f64,
@@ -27,12 +26,7 @@ pub struct NpcControllerParams {
     pub min_gap: f64,
     /// Distance before an ending lane's merge deadline at which the NPC
     /// starts steering for the merge target lane, meters.
-    #[serde(default = "default_merge_lookahead")]
     pub merge_lookahead: f64,
-}
-
-fn default_merge_lookahead() -> f64 {
-    60.0
 }
 
 impl Default for NpcControllerParams {
@@ -43,13 +37,13 @@ impl Default for NpcControllerParams {
             k_speed: 0.5,
             time_headway: 1.5,
             min_gap: 6.0,
-            merge_lookahead: default_merge_lookahead(),
+            merge_lookahead: 60.0,
         }
     }
 }
 
 /// An NPC vehicle: dynamics plus its lane assignment and reference speed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Npc {
     /// Underlying vehicle dynamics.
     pub vehicle: Vehicle,
@@ -62,7 +56,7 @@ pub struct Npc {
 }
 
 /// Minimal view of another vehicle used for car-following decisions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LeadInfo {
     /// Longitudinal position (x) of the lead vehicle's center.
     pub x: f64,

@@ -6,8 +6,7 @@
 //! and attack effort (Fig. 5, Fig. 7), success classification and timing
 //! (Fig. 8, §V-B).
 
-use crate::world::{CollisionEvent, CollisionKind, Termination};
-use serde::{Deserialize, Serialize};
+use crate::world::{CollisionEvent, CollisionKind, StepOutcome, Termination, World};
 
 /// Perturbations below this magnitude do not count as the start of an
 /// attack attempt (learned policies emit tiny non-zero means even when
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 pub const ATTACK_START_THRESHOLD: f64 = 0.02;
 
 /// Everything measured over one episode.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct EpisodeRecord {
     /// Control steps executed.
     pub steps: usize,
@@ -44,6 +43,30 @@ pub struct EpisodeRecord {
 }
 
 impl EpisodeRecord {
+    /// An empty record for an episode about to run in `world`.
+    pub fn start(world: &World) -> Self {
+        EpisodeRecord {
+            dt: world.scenario().dt,
+            ..EpisodeRecord::default()
+        }
+    }
+
+    /// Books one executed control step: the step count, the injected
+    /// perturbation `delta` (and with it the attack start), and the
+    /// outcome's passed count, collision and termination. Rewards and
+    /// deviation are the caller's to record, since not every runner
+    /// tracks them.
+    pub fn push_step(&mut self, outcome: &StepOutcome, delta: f64) {
+        self.steps += 1;
+        self.perturbation.push(delta.abs());
+        if delta.abs() > ATTACK_START_THRESHOLD && self.attack_start.is_none() {
+            self.attack_start = Some(outcome.step);
+        }
+        self.passed = outcome.passed;
+        self.collision = outcome.collision;
+        self.termination = outcome.termination;
+    }
+
     /// Whether the episode ended in the attacker's desired side collision.
     pub fn side_collision(&self) -> bool {
         matches!(

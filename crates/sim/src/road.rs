@@ -23,14 +23,12 @@
 //!   over `[drop_start, drop_end]`.
 
 use crate::geometry::Vec2;
-use serde::{Deserialize, Serialize};
 
 /// Longitudinal shape of the road: where barriers sit as a function of x.
 ///
 /// Lane y-centers are fixed for every variant; only edge positions and lane
-/// drivability vary with x. `Straight` is the serde default, so scenarios
-/// serialized before topology existed deserialize to the legacy freeway.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+/// drivability vary with x. `Straight`, the default, is the legacy freeway.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum RoadTopology {
     /// The legacy freeway: constant-width, all lanes drivable everywhere.
     #[default]
@@ -65,7 +63,7 @@ impl RoadTopology {
 }
 
 /// Static description of the freeway.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Road {
     /// Number of parallel mainline lanes (≥ 1); an on-ramp adds one more.
     pub num_lanes: usize,
@@ -77,7 +75,6 @@ pub struct Road {
     /// collision extents).
     pub barrier_thickness: f64,
     /// Longitudinal shape (barrier placement as a function of x).
-    #[serde(default)]
     pub topology: RoadTopology,
 }
 

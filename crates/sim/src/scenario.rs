@@ -13,10 +13,9 @@
 use crate::road::Road;
 use crate::vehicle::VehicleParams;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Spawn description for one NPC vehicle.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NpcSpawn {
     /// Lane index (0 = rightmost).
     pub lane: usize,
@@ -27,7 +26,7 @@ pub struct NpcSpawn {
 }
 
 /// Full episode configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Road geometry.
     pub road: Road,
@@ -202,7 +201,7 @@ impl Scenario {
 /// The `name` is a stable label used in artifact file names, manifests and
 /// journal keys; the wrapped [`Scenario`] is guaranteed to pass
 /// [`Scenario::validate`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// Stable label (lowercase, underscore-separated).
     pub name: String,

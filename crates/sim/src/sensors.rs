@@ -18,7 +18,6 @@
 use crate::geometry::Vec2;
 use crate::world::World;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Draws a standard normal sample via Box–Muller (rand 0.8 has no normal
@@ -40,7 +39,7 @@ pub const EGO_FEATURES: usize = 8;
 pub const NPC_FEATURES: usize = 4;
 
 /// Configuration of the semantic feature extractor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeatureConfig {
     /// Number of nearest NPCs encoded per frame.
     pub k_npcs: usize,
@@ -206,7 +205,7 @@ fn extract_frame_into(
 }
 
 /// Semantic classes rendered by the [`SemanticCamera`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SemanticClass {
     /// Outside the road and its barriers.
     Offroad,
@@ -231,7 +230,7 @@ impl SemanticClass {
 }
 
 /// Bird's-eye semantic occupancy camera centered on the ego vehicle.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SemanticCamera {
     /// Grid columns (longitudinal).
     pub cols: usize,
@@ -308,7 +307,7 @@ impl SemanticCamera {
 }
 
 /// Configuration of the [`Imu`] sensor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ImuConfig {
     /// Samples per second (the paper uses 20 sps).
     pub sample_rate: f64,

@@ -7,10 +7,9 @@
 //! post-hoc analysis; the CSV schema is one row per vehicle per step.
 
 use crate::world::{CollisionEvent, World};
-use serde::{Deserialize, Serialize};
 
 /// Kinematic snapshot of one vehicle.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VehicleSnapshot {
     /// World x, meters.
     pub x: f64,
@@ -41,7 +40,7 @@ impl VehicleSnapshot {
 }
 
 /// One control step of a trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StepTrace {
     /// Simulation time at the end of the step, seconds.
     pub time: f64,
@@ -56,7 +55,7 @@ pub struct StepTrace {
 }
 
 /// A whole episode's kinematic history.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct EpisodeTrace {
     /// Control period, seconds.
     pub dt: f64,

@@ -14,7 +14,6 @@
 //! is applied — see [`attack-core`](../index.html).
 
 use crate::geometry::{normalize_angle, Obb, Pose, Vec2};
-use serde::{Deserialize, Serialize};
 
 /// Normalized actuation pair in `[-1, 1]^2`.
 ///
@@ -22,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// mathematical convention instead (positive steer = CCW = left) and keep the
 /// sign handling internal to the controllers, so agents never need to care.
 /// `thrust`: positive throttles, negative brakes.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Actuation {
     /// Normalized steering in `[-1, 1]`; multiplied by
     /// [`VehicleParams::max_steer`] to obtain the road-wheel angle.
@@ -42,7 +41,7 @@ impl Actuation {
 }
 
 /// Physical and actuator parameters of a vehicle.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VehicleParams {
     /// Distance from the center of gravity to the front axle, meters.
     pub lf: f64,
@@ -104,7 +103,7 @@ impl VehicleParams {
 
 /// Inertial quantities produced during one integration substep, consumed by
 /// the IMU sensor model.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct InertialSample {
     /// Longitudinal (body-frame x) acceleration, m/s^2.
     pub accel_lon: f64,
@@ -115,7 +114,7 @@ pub struct InertialSample {
 }
 
 /// Full dynamic state of a vehicle.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Vehicle {
     /// Physical parameters.
     pub params: VehicleParams,

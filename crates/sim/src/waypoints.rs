@@ -9,10 +9,9 @@
 
 use crate::geometry::{angle_diff, Vec2};
 use crate::road::Road;
-use serde::{Deserialize, Serialize};
 
 /// One sample of a planned path.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Waypoint {
     /// World-frame position.
     pub position: Vec2,
@@ -23,7 +22,7 @@ pub struct Waypoint {
 }
 
 /// Result of projecting a query point onto a [`Path`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PathProjection {
     /// Index of the nearest waypoint.
     pub index: usize,
@@ -36,7 +35,7 @@ pub struct PathProjection {
 }
 
 /// A polyline of waypoints, ordered by increasing longitudinal position.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Path {
     points: Vec<Waypoint>,
 }

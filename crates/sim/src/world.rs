@@ -11,13 +11,12 @@ use crate::geometry::{Pose, Vec2};
 use crate::npc::{LeadTable, Npc};
 use crate::scenario::Scenario;
 use crate::vehicle::{Actuation, Vehicle, VehicleParams};
-use serde::{Deserialize, Serialize};
 
 /// How a collision happened — the attacker only "wins" on [`Side`]
 /// collisions (Section IV-D).
 ///
 /// [`Side`]: CollisionKind::Side
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CollisionKind {
     /// The ego vehicle struck an NPC while substantially alongside it — the
     /// attacker's goal.
@@ -32,7 +31,7 @@ pub enum CollisionKind {
 }
 
 /// A classified collision.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CollisionEvent {
     /// What kind of contact occurred.
     pub kind: CollisionKind,
@@ -43,7 +42,7 @@ pub struct CollisionEvent {
 }
 
 /// Why an episode ended.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Termination {
     /// Reached the step limit.
     TimeLimit,
@@ -54,7 +53,7 @@ pub enum Termination {
 }
 
 /// Outcome of one control step.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepOutcome {
     /// Step index just executed (0-based).
     pub step: usize,
@@ -398,7 +397,7 @@ pub fn classify_contact(ego: &Vehicle, npc: &Vehicle) -> CollisionKind {
 
 /// Relative geometry between the ego vehicle and a target NPC, the raw
 /// material of the adversarial reward terms (Section IV-D).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RelativeGeometry {
     /// Unit vector from ego to the NPC (`v̂_e2n`).
     pub e2n: Vec2,

@@ -1,10 +1,13 @@
-//! Repo lint: no ad-hoc seed derivation is allowed anywhere in `crates/`.
+//! Repo lints over the workspace crates under `crates/`.
 //!
-//! Every stochastic stream must derive its seed through
-//! `drive_seed::SeedTree`; xor-a-magic-constant expressions like the old
-//! `seed ^ 0x5f5f` collide silently and are impossible to audit. This test
-//! walks every Rust source file under `crates/` and fails with file:line
-//! locations if the pattern reappears.
+//! * No ad-hoc seed derivation. Every stochastic stream must derive its
+//!   seed through `drive_seed::SeedTree`; xor-a-magic-constant expressions
+//!   like the old `seed ^ 0x5f5f` collide silently and are impossible to
+//!   audit. The lint walks every Rust source file under `crates/` and fails
+//!   with file:line locations if the pattern reappears.
+//! * No unused dependencies. Every `[dependencies]` entry of a crate's
+//!   manifest must be named in code under that crate's `src/`, so a
+//!   dependency cannot outlive its last use.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -47,5 +50,70 @@ fn no_magic_constant_seed_xors_in_crates() {
         offenders.is_empty(),
         "magic-constant seed derivations found (use drive_seed::SeedTree):\n{}",
         offenders.join("\n")
+    );
+}
+
+/// The `[dependencies]` keys of a Cargo manifest, in file order.
+fn dependency_names(manifest: &str) -> Vec<String> {
+    let mut names = Vec::new();
+    let mut in_deps = false;
+    for line in manifest.lines() {
+        let line = line.trim();
+        if line.starts_with('[') {
+            in_deps = line == "[dependencies]";
+        } else if in_deps && !line.is_empty() && !line.starts_with('#') {
+            let key = line.split(['=', '.']).next().unwrap_or("").trim();
+            names.push(key.to_string());
+        }
+    }
+    names
+}
+
+/// Whether `code` names the crate `ident` as a path root (`ident::`),
+/// not as the tail of a longer identifier.
+fn names_crate(code: &str, ident: &str) -> bool {
+    let needle = format!("{ident}::");
+    code.match_indices(&needle).any(|(at, _)| {
+        !code[..at]
+            .chars()
+            .next_back()
+            .is_some_and(|c| c.is_alphanumeric() || c == '_')
+    })
+}
+
+#[test]
+fn every_crate_dependency_is_used() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let mut crates: Vec<PathBuf> = fs::read_dir(&root)
+        .expect("readable crates/")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.join("Cargo.toml").is_file())
+        .collect();
+    crates.sort();
+    assert!(crates.len() > 5, "expected a populated crates/ tree");
+
+    let mut unused = Vec::new();
+    for dir in &crates {
+        let manifest = fs::read_to_string(dir.join("Cargo.toml")).expect("readable manifest");
+        let mut sources = Vec::new();
+        rust_sources(&dir.join("src"), &mut sources);
+        let mut code = String::new();
+        for path in &sources {
+            for line in fs::read_to_string(path).expect("readable source").lines() {
+                // Only code counts: a doc comment naming a crate is not a use.
+                code.push_str(line.split("//").next().unwrap_or(""));
+                code.push('\n');
+            }
+        }
+        for dep in dependency_names(&manifest) {
+            if !names_crate(&code, &dep.replace('-', "_")) {
+                unused.push(format!("{}: {dep}", dir.join("Cargo.toml").display()));
+            }
+        }
+    }
+    assert!(
+        unused.is_empty(),
+        "dependencies never referenced in their crate's src/ (remove them):\n{}",
+        unused.join("\n")
     );
 }
