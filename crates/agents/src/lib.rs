@@ -15,7 +15,6 @@ use drive_sim::world::World;
 pub mod behavior;
 pub mod driving_env;
 pub mod e2e;
-pub mod fallback;
 pub mod modular;
 pub mod pid;
 pub mod reward;
@@ -36,7 +35,6 @@ pub mod prelude {
     pub use crate::behavior::{BehaviorConfig, BehaviorPlanner, Maneuver};
     pub use crate::driving_env::{DrivingEnv, SteerAttack};
     pub use crate::e2e::{E2eAgent, Policy};
-    pub use crate::fallback::{SafetyConfig, SafetyController};
     pub use crate::modular::{ModularAgent, ModularConfig};
     pub use crate::pid::{Pid, PidConfig};
     pub use crate::reward::{RewardConfig, RewardShaper};

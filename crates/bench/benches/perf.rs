@@ -1,15 +1,14 @@
 //! Criterion micro-benchmarks of the substrate hot paths: simulator
-//! stepping, collision detection, sensor rendering, policy inference,
-//! dense NN kernels, SAC updates, and the serving layer (micro-batched
-//! inference, the full serving pipeline, and the virtual-time simulator).
+//! stepping, collision detection, sensor rendering, policy inference
+//! (batch 1 and batch 8), dense NN kernels, SAC updates, the planner,
+//! fleet stepping, lease claims and scenario generation.
 //!
 //! Runs under `cargo bench --bench perf`. Set `CRITERION_QUICK=1` to use
 //! the shortened measurement budgets (CI smoke), and `PERF_JSON=<path>` to
 //! export the timings as JSON (the checked-in `BENCH_perf.json` baseline
 //! is produced this way). Alongside the wall-clock benches, the export
-//! carries deterministic serving pseudo-rows (`serve_sim_*`): latency
-//! quantiles and the sustainable-rate search from a fixed-seed simulator
-//! run, byte-stable and therefore gateable at a tight tolerance.
+//! carries derived value rows: per-phase fleet control cost, fleet
+//! nanoseconds per episode, and shard-merge verification time.
 
 use attack_core::adv_reward::AdvReward;
 use attack_core::budget::AttackBudget;
@@ -23,11 +22,6 @@ use drive_nn::prelude::{randn_mat, ActScratch, Activation, GaussianPolicy, Mat, 
 use drive_nn::scratch::BatchActScratch;
 use drive_rl::replay::{Batch, ReplayBuffer, Transition};
 use drive_rl::sac::{Sac, SacConfig};
-use drive_serve::config::ServeConfig;
-use drive_serve::faults::FaultPlanConfig;
-use drive_serve::ladder::Rung;
-use drive_serve::pipeline::{DetectorStream, Pipeline};
-use drive_serve::sim::{self, SimConfig};
 use drive_sim::batch::WorldBatch;
 use drive_sim::geometry::{Obb, Vec2};
 use drive_sim::record::EpisodeRecord;
@@ -174,6 +168,26 @@ fn bench_policy_inference(c: &mut Criterion) {
     });
 }
 
+/// Batch-8 inference through the tiled GEMM (`act_batch_with`), against
+/// the same 60-d policy the single-row benches use.
+fn bench_policy_inference_batch8(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(0);
+    let dim = FeatureConfig::default().observation_dim();
+    let policy = GaussianPolicy::new(dim, &[128, 128], 2, &mut rng);
+    let frames: Vec<Vec<f32>> = (0..8)
+        .map(|i| {
+            (0..dim)
+                .map(|j| ((i * dim + j) % 23) as f32 * 0.01)
+                .collect()
+        })
+        .collect();
+    c.bench_function("policy_inference_batch8_60d", |b| {
+        let refs: Vec<&[f32]> = frames.iter().map(Vec::as_slice).collect();
+        let mut scratch = BatchActScratch::default();
+        b.iter(|| black_box(policy.act_batch_with(&refs, &mut scratch).get(0, 0)));
+    });
+}
+
 fn filled_buffer(dim: usize) -> ReplayBuffer {
     let mut buffer = ReplayBuffer::new(10_000, dim, 2);
     for i in 0..2000 {
@@ -208,40 +222,6 @@ fn bench_sac_update(c: &mut Criterion) {
         let mut sac = Sac::new(dim, 2, &[128, 128], SacConfig::default(), &mut rng);
         let buffer = filled_buffer(dim);
         b.iter(|| black_box(sac.update(&buffer, &mut rng)));
-    });
-}
-
-/// Micro-batched inference: the serving layer's hot path, batch-8 against
-/// the same 60-d policy the single-row benches use, plus the full serving
-/// pipeline (detector + inference) over the same batch.
-fn bench_serve_micro_batch(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(0);
-    let dim = FeatureConfig::default().observation_dim();
-    let policy = Arc::new(GaussianPolicy::new(dim, &[128, 128], 2, &mut rng));
-    let frames: Vec<Vec<f32>> = (0..8)
-        .map(|i| {
-            (0..dim)
-                .map(|j| ((i * dim + j) % 23) as f32 * 0.01)
-                .collect()
-        })
-        .collect();
-    c.bench_function("policy_inference_batch8_60d", |b| {
-        let refs: Vec<&[f32]> = frames.iter().map(Vec::as_slice).collect();
-        let mut scratch = BatchActScratch::default();
-        b.iter(|| black_box(policy.act_batch_with(&refs, &mut scratch).get(0, 0)));
-    });
-    c.bench_function("serve_pipeline_full_batch8_60d", |b| {
-        let config = ServeConfig::default();
-        let mut pipeline = Pipeline::new(policy.clone(), &config, None);
-        let mut stream = DetectorStream::new(&config);
-        b.iter(|| {
-            let mut obs = frames.clone();
-            black_box(
-                pipeline
-                    .process(Rung::Full, &mut obs, Some(&mut stream))
-                    .alarm,
-            )
-        });
     });
 }
 
@@ -531,72 +511,6 @@ fn bench_scenario_gen(c: &mut Criterion) {
     });
 }
 
-/// End-to-end virtual-time serving: one fixed-seed simulator run per
-/// iteration (arrival synthesis, batching, fault schedule, ladder).
-fn bench_serve_sim(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(42);
-    let policy = Arc::new(GaussianPolicy::new(6, &[32, 32], 2, &mut rng));
-    let config = SimConfig {
-        requests: 200,
-        faults: FaultPlanConfig {
-            kills: 1,
-            stalls: 1,
-            stall_us: 10_000,
-            corrupt_rate: 0.1,
-        },
-        ..SimConfig::default()
-    };
-    c.bench_function("serve_sim_200req_faulted", |b| {
-        b.iter(|| black_box(sim::run_sim(&policy, &config).counters.served));
-    });
-}
-
-/// Deterministic serving pseudo-rows for the gating baseline: p50/p99/p999
-/// latency of a fixed-seed simulator run and the inverse of its maximum
-/// sustainable rate at a 30 ms p99 SLO (inverse, so that "bigger means
-/// worse" matches the regression gate's direction). All virtual-time
-/// integers — identical on every machine — so any drift is a real serving
-/// behavior change, not noise.
-fn serve_slo_rows() -> Vec<BenchResult> {
-    let mut rng = StdRng::seed_from_u64(42);
-    let policy = Arc::new(GaussianPolicy::new(6, &[32, 32], 2, &mut rng));
-    let config = SimConfig::default();
-    let report = sim::run_sim(&policy, &config);
-    let row = |name: &str, value: f64, iters: u64| BenchResult {
-        name: name.to_string(),
-        median_ns: value,
-        mean_ns: value,
-        iters,
-    };
-    let answered = report.counters.served + report.counters.degraded;
-    let mut rows = vec![
-        row(
-            "serve_sim_p50_latency_us",
-            report.latency.p50() as f64,
-            answered,
-        ),
-        row(
-            "serve_sim_p99_latency_us",
-            report.latency.p99() as f64,
-            answered,
-        ),
-        row(
-            "serve_sim_p999_latency_us",
-            report.latency.p999() as f64,
-            answered,
-        ),
-    ];
-    let grid = [250, 500, 1_000, 2_000, 4_000];
-    if let Some(qps) = sim::max_qps_at_slo(&policy, &config, 30_000, &grid) {
-        rows.push(row(
-            "serve_sim_slo_inverse_ns_per_req",
-            1_000_000_000.0 / qps as f64,
-            qps,
-        ));
-    }
-    rows
-}
-
 /// Serializes the collected results as the `repro-bench/bench-v1` JSON
 /// schema (flat bench names, so no string escaping is needed beyond
 /// quotes — names are plain identifiers).
@@ -632,19 +546,17 @@ fn main() {
     bench_matmul_kernels(&mut c);
     bench_mlp_forward_scratch(&mut c);
     bench_policy_inference(&mut c);
+    bench_policy_inference_batch8(&mut c);
     bench_replay_sample(&mut c);
     bench_sac_update(&mut c);
-    bench_serve_micro_batch(&mut c);
     bench_planner_plan(&mut c);
     bench_fleet(&mut c);
     bench_lease_claim(&mut c);
     bench_scenario_gen(&mut c);
-    bench_serve_sim(&mut c);
-    let mut serve_rows = serve_slo_rows();
-    serve_rows.extend(control_phase_rows());
-    serve_rows.extend(fleet_rows());
-    serve_rows.extend(shard_merge_rows());
-    for r in &serve_rows {
+    let mut value_rows = control_phase_rows();
+    value_rows.extend(fleet_rows());
+    value_rows.extend(shard_merge_rows());
+    for r in &value_rows {
         println!(
             "{:<40} value {:>14.1}  ({} n)",
             r.name, r.median_ns, r.iters
@@ -652,7 +564,7 @@ fn main() {
     }
     if let Ok(path) = std::env::var("PERF_JSON") {
         if !path.is_empty() {
-            match std::fs::write(&path, results_json(&c, &serve_rows)) {
+            match std::fs::write(&path, results_json(&c, &value_rows)) {
                 Ok(()) => eprintln!("[perf] wrote {path}"),
                 Err(e) => eprintln!("[perf] failed {path}: {e}"),
             }

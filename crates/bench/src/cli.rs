@@ -508,28 +508,39 @@ pub fn run(args: &CliArgs) -> Result<(), CliError> {
     Ok(())
 }
 
+/// Usage text printed, followed by the registry, when nothing is selected.
+const USAGE: &str = "\
+usage: repro_bench [<experiment>...|--all|--filter <substr>|--list|validate-manifest <path>|bench-compare <current.json>]
+       [--smoke] [--scale smoke|paper] [--quick] [--csv <dir>] [--svg <dir>] [--resume <dir>]
+       [--no-journal] [--artifacts <dir>] [--perf-json <path>] [--baseline <path>]
+       [--tolerance <ratio>] [--fleet <batch>]
+   or: repro_bench shard <dir> [--worker <id>] [--ttl-ms <n>] [--heartbeat-ms <n>] [<experiment>...|--all]
+       [--smoke] [--scale smoke|paper] [--quick] [--artifacts <dir>] [--fleet <batch>]
+   or: repro_bench merge <dir> [--out <dir>] [--quick] [--artifacts <dir>] [--fleet <batch>]
+";
+
 /// Entry point for the `repro_bench` multiplexer binary: with no selection
-/// at all, print usage plus the registry and exit 2. The `serve` and
-/// `loadgen` subcommands (the policy-serving layer) have their own flag
-/// surface and dispatch to [`crate::servecli`] before experiment parsing.
+/// at all, print [`USAGE`] plus the registry and exit 2. The `shard` and
+/// `merge` subcommands parse their own operands and then the standard
+/// flags.
 pub fn main_from_env() -> i32 {
     crate::shutdown::install();
     let raw: Vec<String> = std::env::args().skip(1).collect();
+    main_with(&raw)
+}
+
+/// [`main_from_env`] over an explicit argument list (without the program
+/// name), minus the signal handler.
+fn main_with(raw: &[String]) -> i32 {
     match raw.first().map(String::as_str) {
-        Some("serve") => return crate::servecli::main(crate::servecli::ServeMode::Sim, &raw[1..]),
-        Some("loadgen") => {
-            return crate::servecli::main(crate::servecli::ServeMode::Loadgen, &raw[1..])
-        }
         Some("shard") => return crate::shard::main(&raw[1..]),
         Some("merge") => return crate::merge::main(&raw[1..]),
         _ => {}
     }
-    match CliArgs::from_env() {
+    match CliArgs::parse(raw) {
         Ok(args) => {
             if !args.selects_anything() {
-                eprintln!(
-                    "usage: repro_bench [<experiment>...|--all|--filter <substr>|--list|validate-manifest <path>|bench-compare <current.json>]\n       [--smoke] [--quick] [--csv <dir>] [--svg <dir>] [--resume <dir>] [--no-journal]\n       [--artifacts <dir>] [--perf-json <path>] [--baseline <path>] [--tolerance <ratio>]\n       [--fleet <batch>]\n   or: repro_bench shard <dir> [--worker <id>] [--ttl-ms <n>] [--heartbeat-ms <n>] [<experiment>...|--all]\n       [--smoke] [--quick] [--artifacts <dir>] [--fleet <batch>]\n   or: repro_bench merge <dir> [--out <dir>] [--quick] [--artifacts <dir>] [--fleet <batch>]\n   or: repro_bench serve|loadgen [--requests <n>] [--qps <n>] [--seed <n>] [--workers <n>]\n       [--kills <n>] [--stalls <n>] [--corrupt-rate <f>] [--attack-at-us <n>] [--attack-delta <f>]\n       [--expect-no-sheds] [--expect-degraded] [--latency-json <path>] [--slo-p99-us <n>] [--qps-grid <a,b,...>]\n"
-                );
+                eprintln!("{USAGE}");
                 eprint!("{}", Registry::list(Registry::all()));
                 return 2;
             }
@@ -629,6 +640,84 @@ mod tests {
         // available.
         for e in Registry::all() {
             assert!(text.contains(e.name()), "error lists {}", e.name());
+        }
+    }
+
+    #[test]
+    fn serving_subcommands_are_unknown_experiments() {
+        // `serve` and `loadgen` are not subcommands: each falls through to
+        // experiment selection and takes the unknown-name exit, which
+        // prints the registry.
+        for name in ["serve", "loadgen"] {
+            assert_eq!(main_with(&[name.to_string()]), 2, "{name}");
+            let err = run(&parse(&[name])).expect_err(name);
+            assert!(matches!(err, CliError::UnknownExperiment(_)), "{err:?}");
+            assert_eq!(exit_code(&err), 2);
+            let text = err.to_string();
+            for e in Registry::all() {
+                assert!(text.contains(e.name()), "{name}: error lists {}", e.name());
+            }
+        }
+        // Their old flags are unknown flags, not silently ignored.
+        let argv: Vec<String> = vec!["loadgen".into(), "--qps".into(), "2000".into()];
+        assert_eq!(main_with(&argv), 2);
+        assert!(matches!(
+            CliArgs::parse(&argv),
+            Err(CliError::UnknownFlag(_))
+        ));
+    }
+
+    /// The string literals of the match arms of `fn parse` in `src`:
+    /// every flag, operand keyword and enumerated value it accepts.
+    fn parse_arm_literals(src: &str) -> Vec<&str> {
+        let start = src.find("pub fn parse(").expect("a parse fn");
+        let body = &src[start..];
+        let body = &body[..body.find("\n    }\n").expect("end of parse fn")];
+        let mut out = Vec::new();
+        for line in body.lines().map(str::trim) {
+            let Some((pattern, _)) = line.split_once("=>") else {
+                continue;
+            };
+            if pattern.starts_with('"') {
+                out.extend(pattern.split('"').skip(1).step_by(2));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn usage_names_every_flag_the_parsers_accept() {
+        let mut accepted = Vec::new();
+        for src in [
+            include_str!("cli.rs"),
+            include_str!("shard.rs"),
+            include_str!("merge.rs"),
+        ] {
+            accepted.extend(parse_arm_literals(src));
+        }
+        for flag in ["--scale", "smoke", "paper", "--fleet", "--worker", "--out"] {
+            assert!(accepted.contains(&flag), "scan missed {flag}: {accepted:?}");
+        }
+        for literal in &accepted {
+            assert!(USAGE.contains(literal), "usage omits '{literal}'");
+        }
+        // The scan finds real flags: `shard` or `merge` (which fall back to
+        // the standard flags) accepts each one.
+        for flag in accepted.iter().filter(|l| l.starts_with("--")) {
+            let argv: Vec<String> = vec!["/d".into(), flag.to_string(), "1".into()];
+            let shard = crate::shard::ShardCli::parse(&argv).err();
+            let merge = crate::merge::MergeCli::parse(&argv).err();
+            assert!(
+                !matches!(shard, Some(CliError::UnknownFlag(_)))
+                    || !matches!(merge, Some(CliError::UnknownFlag(_))),
+                "{flag} is not accepted"
+            );
+        }
+        // And the usage names no flag that nothing accepts.
+        for word in USAGE.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')) {
+            if word.starts_with("--") {
+                assert!(accepted.contains(&word), "usage names unknown flag {word}");
+            }
         }
     }
 

@@ -20,13 +20,11 @@ pub mod experiments;
 pub mod harness;
 pub mod journal;
 mod json;
-pub mod loadgen;
 pub mod manifest;
 pub mod merge;
 pub mod perf;
 pub mod resilience;
 pub mod retry;
-pub mod servecli;
 pub mod shard;
 pub mod shutdown;
 
@@ -34,7 +32,6 @@ pub use benchcmp::{compare_files, BenchDelta, BenchStatus, Comparison};
 pub use engine::{execute, EngineRun, Experiment, ExperimentOutput, Registry, RunContext};
 pub use harness::{attacked_records, build_agent, AgentKind, Scale};
 pub use journal::{JournalError, JournalHandle, RunHeader};
-pub use loadgen::{find_max_qps, run_loadgen, LoadgenConfig, LoadgenReport, LogicalStats};
 pub use manifest::{Manifest, OutputEntry};
 pub use perf::{PerfReport, PerfSample, ThroughputProbe};
 pub use resilience::{run_cell, CellOutcome, ResilienceConfig};

@@ -4,8 +4,8 @@
 //! re-seeded and re-ran panicking episodes, and ad-hoc sleep loops
 //! guarded flaky I/O. This module is the one shared implementation:
 //! attempts are bounded, the backoff between attempts grows
-//! exponentially with a *seeded* jitter (so two clients retrying the
-//! same overloaded server do not thunder in lockstep, yet a fixed seed
+//! exponentially with a *seeded* jitter (so two shard workers contending
+//! for the same lease do not retry in lockstep, yet a fixed seed
 //! reproduces the exact same delays), and exhaustion is a typed error
 //! carrying the last failure instead of a stringly sentinel.
 

@@ -16,7 +16,7 @@
 //!   fresh attacker sensor, reward shaper) mirrors
 //!   `drive_agents::runner::run_episode_with_faults` exactly;
 //! * deterministic batched inference is bit-identical to serial
-//!   `act_with` (tested in `drive-nn` and `drive-serve`);
+//!   `act_with` (tested in `drive-nn`);
 //! * the batch steps each world through the serial engine's phases
 //!   verbatim.
 //!

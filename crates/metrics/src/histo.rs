@@ -1,8 +1,8 @@
 //! Log-bucketed latency histogram (HDR-style).
 //!
-//! The serving load generator records one latency sample per request at
-//! thousands of QPS; keeping every sample for exact quantiles would cost
-//! unbounded memory and a sort at report time. This histogram instead
+//! A latency recorder may see thousands of samples per second; keeping
+//! every sample for exact quantiles would cost unbounded memory and a
+//! sort at report time. This histogram instead
 //! buckets nanosecond values into power-of-two octaves split into
 //! [`SUBDIVISIONS`] linear sub-buckets, bounding relative bucket width to
 //! ~3% while using a fixed ~15 KiB of memory. Values below

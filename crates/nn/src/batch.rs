@@ -1,8 +1,8 @@
 //! Inference over a frozen policy through pre-packed weights.
 //!
 //! [`BatchPolicy`] is the one frozen-inference type: the serial
-//! evaluation agents and attackers, the serving layer (`drive-serve`
-//! micro-batching) and the fleet simulation driver all run through it. It
+//! evaluation agents and attackers and the fleet simulation driver both
+//! run through it. It
 //! packs the trunk's transposed weights once, so each forward pass is a
 //! single bias-fused product per layer with no per-call transpose — a
 //! register-blocked GEMV for batches under four rows (serial batch-1
@@ -13,8 +13,8 @@
 //! Three call styles cover the consumers:
 //! - [`BatchPolicy::act_with`]: one observation, deterministic or
 //!   sampled — the serial agents' and attackers' per-step call.
-//! - [`BatchPolicy::act_batch`]: gather from observation slices (the
-//!   serving layer's shape — requests arrive as independent vectors).
+//! - [`BatchPolicy::act_batch`]: gather from independent observation
+//!   slices into one deterministic batched forward pass.
 //! - [`BatchPolicy::stage`] + [`BatchPolicy::infer_staged`]: write rows
 //!   directly into the staging matrix (the fleet driver's shape — the
 //!   feature extractor writes each live episode's observation in place,

@@ -402,9 +402,9 @@ impl GaussianPolicy {
     /// `act_with(obs[b], .., deterministic = true, ..)`: the GEMM kernels
     /// compute every output element as one ascending-`k` accumulation
     /// regardless of how many rows share the call, so batching changes
-    /// throughput but never numerics. The serving layer relies on this —
-    /// micro-batching under a deadline window must not make answers depend
-    /// on which requests happened to share a batch. Allocation-free once
+    /// throughput but never numerics. The fleet driver relies on this — an
+    /// episode's actions must not depend on which other episodes happened
+    /// to share its batch. Allocation-free once
     /// the scratch has warmed to the largest batch seen.
     ///
     /// # Panics
@@ -452,8 +452,8 @@ pub(crate) fn act_head<R: Rng>(
 
 /// Gathers observation slices into the `(batch, obs_dim)` staging matrix —
 /// the one gather implementation behind [`GaussianPolicy::act_batch_with`]
-/// and [`crate::batch::BatchPolicy`] (the serving layer and the fleet
-/// driver must not grow separate copies of this plumbing).
+/// and [`crate::batch::BatchPolicy`] (batched callers must not grow
+/// separate copies of this plumbing).
 ///
 /// # Panics
 ///

@@ -7,7 +7,9 @@
 //!   with file:line locations if the pattern reappears.
 //! * No unused dependencies. Every `[dependencies]` entry of a crate's
 //!   manifest must be named in code under that crate's `src/`, so a
-//!   dependency cannot outlive its last use.
+//!   dependency cannot outlive its last use. Likewise every
+//!   `[workspace.dependencies]` entry must be a dependency of the root
+//!   package or of some crate under `crates/`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -53,15 +55,15 @@ fn no_magic_constant_seed_xors_in_crates() {
     );
 }
 
-/// The `[dependencies]` keys of a Cargo manifest, in file order.
-fn dependency_names(manifest: &str) -> Vec<String> {
+/// The keys of the given `[section]`s of a Cargo manifest, in file order.
+fn section_keys(manifest: &str, sections: &[&str]) -> Vec<String> {
     let mut names = Vec::new();
-    let mut in_deps = false;
+    let mut in_section = false;
     for line in manifest.lines() {
         let line = line.trim();
         if line.starts_with('[') {
-            in_deps = line == "[dependencies]";
-        } else if in_deps && !line.is_empty() && !line.starts_with('#') {
+            in_section = sections.contains(&line);
+        } else if in_section && !line.is_empty() && !line.starts_with('#') {
             let key = line.split(['=', '.']).next().unwrap_or("").trim();
             names.push(key.to_string());
         }
@@ -81,8 +83,8 @@ fn names_crate(code: &str, ident: &str) -> bool {
     })
 }
 
-#[test]
-fn every_crate_dependency_is_used() {
+/// The directories under `crates/` that hold a Cargo manifest, sorted.
+fn crate_dirs() -> Vec<PathBuf> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
     let mut crates: Vec<PathBuf> = fs::read_dir(&root)
         .expect("readable crates/")
@@ -91,7 +93,12 @@ fn every_crate_dependency_is_used() {
         .collect();
     crates.sort();
     assert!(crates.len() > 5, "expected a populated crates/ tree");
+    crates
+}
 
+#[test]
+fn every_crate_dependency_is_used() {
+    let crates = crate_dirs();
     let mut unused = Vec::new();
     for dir in &crates {
         let manifest = fs::read_to_string(dir.join("Cargo.toml")).expect("readable manifest");
@@ -105,7 +112,7 @@ fn every_crate_dependency_is_used() {
                 code.push('\n');
             }
         }
-        for dep in dependency_names(&manifest) {
+        for dep in section_keys(&manifest, &["[dependencies]"]) {
             if !names_crate(&code, &dep.replace('-', "_")) {
                 unused.push(format!("{}: {dep}", dir.join("Cargo.toml").display()));
             }
@@ -115,5 +122,32 @@ fn every_crate_dependency_is_used() {
         unused.is_empty(),
         "dependencies never referenced in their crate's src/ (remove them):\n{}",
         unused.join("\n")
+    );
+}
+
+#[test]
+fn every_workspace_dependency_is_used() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let root_manifest = fs::read_to_string(root.join("Cargo.toml")).expect("readable manifest");
+    let declared = section_keys(&root_manifest, &["[workspace.dependencies]"]);
+    assert!(
+        declared.len() > 5,
+        "expected populated [workspace.dependencies]"
+    );
+
+    let dep_sections = [
+        "[dependencies]",
+        "[dev-dependencies]",
+        "[build-dependencies]",
+    ];
+    let mut used = section_keys(&root_manifest, &dep_sections);
+    for dir in crate_dirs() {
+        let manifest = fs::read_to_string(dir.join("Cargo.toml")).expect("readable manifest");
+        used.extend(section_keys(&manifest, &dep_sections));
+    }
+    let unused: Vec<&String> = declared.iter().filter(|d| !used.contains(d)).collect();
+    assert!(
+        unused.is_empty(),
+        "[workspace.dependencies] entries no package depends on (remove them): {unused:?}"
     );
 }
